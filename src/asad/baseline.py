@@ -12,7 +12,6 @@ against the two candidate envelopes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -21,15 +20,13 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import (
-    FORMAT_VERSION,
     LEFT,
     RIGHT,
     RawRecording,
-    atomic_write_bytes,
-    atomic_write_text,
-    container_paths,
-    dump_header,
     _round_half_up,
+    read_header,
+    read_payload,
+    write_container,
 )
 
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-3, 4))
@@ -124,12 +121,7 @@ def fit_decoder(
     """Least-squares (lambda = 0) or ridge fit on one aligned segment."""
     env = envelope.samples if isinstance(envelope, Envelope) else np.asarray(envelope, float)
     n_lags = int(lags) + 1 if np.isscalar(lags) else len(np.asarray(lags))
-    r_auto, r_cross = accumulate_covariances([(np.asarray(eeg, float), env)], n_lags)
-    w = _solve(r_auto, r_cross, ridge_lambda)
-    n_ch = np.asarray(eeg).shape[0]
-    return LinearDecoder(
-        weights=w.reshape(n_ch, n_lags), lags=np.arange(n_lags), ridge_lambda=ridge_lambda
-    ).validate()
+    return fit_decoder_segments([(np.asarray(eeg, float), env)], n_lags, ridge_lambda)
 
 
 def fit_decoder_segments(
@@ -224,25 +216,14 @@ def select_lambda(
 
 def save_envelope(env: Envelope, path: str | Path) -> Path:
     env.validate()
-    hdr_path, data_path = container_paths(path)
-    header = {
-        "format_version": FORMAT_VERSION,
-        "speaker_id": env.speaker_id,
-        "sample_rate": env.sample_rate,
-    }
-    atomic_write_text(hdr_path, dump_header(header))
-    atomic_write_bytes(data_path, env.samples.astype("<f4").tobytes())
-    return hdr_path
+    header = {"speaker_id": env.speaker_id, "sample_rate": env.sample_rate}
+    return write_container(path, "envelope", header, env.samples)
 
 
 def load_envelope(path: str | Path) -> Envelope:
-    hdr_path, data_path = container_paths(path)
-    header = json.loads(hdr_path.read_text())
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported envelope format version {header.get('format_version')}")
-    samples = np.frombuffer(data_path.read_bytes(), dtype="<f4").astype(float)
+    header = read_header(path, "envelope", ("speaker_id", "sample_rate"))
     return Envelope(
-        samples=samples,
+        samples=read_payload(path, (-1,)).astype(float),
         speaker_id=str(header["speaker_id"]),
         sample_rate=float(header["sample_rate"]),
     ).validate()
@@ -295,26 +276,17 @@ def add_envelope_mixture(
 
 def save_decoder(decoder: LinearDecoder, path: str | Path) -> Path:
     decoder.validate()
-    hdr_path, data_path = container_paths(path)
     header = {
-        "format_version": FORMAT_VERSION,
-        "kind": "linear_decoder",
         "ridge_lambda": decoder.ridge_lambda,
         "n_lags": len(decoder.lags),
         "tensors": [{"name": "weights", "shape": list(decoder.weights.shape)}],
     }
-    atomic_write_text(hdr_path, dump_header(header))
-    atomic_write_bytes(data_path, decoder.weights.astype("<f4").tobytes())
-    return hdr_path
+    return write_container(path, "linear_decoder", header, decoder.weights)
 
 
 def load_decoder(path: str | Path) -> LinearDecoder:
-    hdr_path, data_path = container_paths(path)
-    header = json.loads(hdr_path.read_text())
-    if header.get("kind") != "linear_decoder" or header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"not a version-{FORMAT_VERSION} linear decoder: {hdr_path}")
-    shape = tuple(header["tensors"][0]["shape"])
-    w = np.frombuffer(data_path.read_bytes(), dtype="<f4").reshape(shape)
+    header = read_header(path, "linear_decoder", ("ridge_lambda", "n_lags", "tensors"))
+    w = read_payload(path, tuple(header["tensors"][0]["shape"]))
     return LinearDecoder(
         weights=w.astype(float),
         lags=np.arange(int(header["n_lags"])),

@@ -57,17 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-STAGE_FUNCS = {
-    "synth": pipeline.stage_synth,
-    "preprocess": pipeline.stage_preprocess,
-    "extract": pipeline.stage_extract,
-    "train": pipeline.stage_train,
-    "eval": pipeline.stage_eval,
-    "baseline": pipeline.stage_baseline,
-    "report": pipeline.stage_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -84,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {paths[0]} and {paths[1]}")
         else:
             out.mkdir(parents=True, exist_ok=True)
-            STAGE_FUNCS[args.command](cfg, out)
+            getattr(pipeline, f"stage_{args.command}")(cfg, out)
             print(f"stage {args.command} done")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -1,9 +1,10 @@
 """Recording/montage containers, decision windows, splitting, synthesis.
 
-On-disk recording container (format version 1):
+On-disk recording container (format version 1; every container goes
+through the codec below):
 
-  ``<name>.json``  header: {"format_version": 1, "subject_id": ...,
-                   "sample_rate": ..., "channels": [...],
+  ``<name>.json``  header: {"format_version": 1, "kind": "recording",
+                   "subject_id": ..., "sample_rate": ..., "channels": [...],
                    "trials": [{"start": ..., "end": ..., "label": ...}]}
   ``<name>.f32``   raw little-endian float32 samples, channel-major
                    (channel 0's full series first).
@@ -40,7 +41,7 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes) -> None:
+def atomic_write_bytes(path: str | Path, payload: bytes | memoryview) -> None:
     """Write via a temporary sibling file and rename, so readers never see
     a half-written file."""
     path = Path(path)
@@ -229,8 +230,12 @@ class SynthConfig:
 
 
 # ---------------------------------------------------------------------------
-# Container I/O
+# Container codec
 # ---------------------------------------------------------------------------
+
+# Converted external inputs may come without a "kind" key in their header.
+UNTAGGED_KINDS = ("recording", "envelope")
+
 
 def container_paths(path: str | Path) -> tuple[Path, Path]:
     """Header/payload sibling paths; appends suffixes rather than replacing
@@ -240,47 +245,69 @@ def container_paths(path: str | Path) -> tuple[Path, Path]:
     return Path(base + ".json"), Path(base + ".f32")
 
 
+def write_container(path: str | Path, kind: str, header: dict, payload) -> Path:
+    """Write `header` with format_version and kind added, plus `payload` as
+    little-endian float32. Returns the header path."""
+    header_path, data_path = container_paths(path)
+    header = {**header, "format_version": FORMAT_VERSION, "kind": kind}
+    atomic_write_text(header_path, dump_header(header))
+    # the array's own buffer is written, without a bytes copy of the payload
+    atomic_write_bytes(data_path, np.ascontiguousarray(payload, dtype="<f4").data)
+    return header_path
+
+
+def read_header(path: str | Path, kind: str, required: tuple[str, ...] = ()) -> dict:
+    """Parse a container header and check its version, kind and `required` keys."""
+    header_path, _ = container_paths(path)
+    try:
+        header = json.loads(header_path.read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read {kind} header {header_path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"malformed header {header_path}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise ValueError(f"malformed header {header_path}: not a JSON object")
+    version = header.get("format_version")
+    if version != FORMAT_VERSION:
+        raise ValueError(f"unsupported format_version {version!r} in {header_path}")
+    found = header.get("kind", kind if kind in UNTAGGED_KINDS else None)
+    if found != kind:
+        raise ValueError(f"{header_path} holds a {found!r} container, expected {kind!r}")
+    for key in required:
+        if key not in header:
+            raise ValueError(f"malformed header {header_path}: missing key {key!r}")
+    return header
+
+
+def read_payload(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 payload reshaped to `shape`, where one dimension may be -1."""
+    _, data_path = container_paths(path)
+    data = np.fromfile(data_path, dtype="<f4")
+    known = math.prod(d for d in shape if d != -1)
+    if known == 0 or data.size % known or (-1 not in shape and data.size != known):
+        raise ValueError(
+            f"payload shape mismatch: {data.size} float32 values in {data_path} "
+            f"do not fill shape {tuple(shape)}"
+        )
+    return data.reshape(shape)
+
+
 def save_recording(rec: RawRecording, path: str | Path) -> Path:
     """Write the JSON header + float32 payload pair. Returns the header path."""
     rec.validate()
-    header_path, data_path = container_paths(path)
     header = {
-        "format_version": FORMAT_VERSION,
         "subject_id": rec.subject_id,
         "sample_rate": rec.sample_rate,
         "channels": list(rec.channels),
         "trials": [{"start": t.start, "end": t.end, "label": t.label} for t in rec.trials],
     }
-    atomic_write_text(header_path, dump_header(header))
-    atomic_write_bytes(data_path, np.ascontiguousarray(rec.data, dtype="<f4").tobytes())
-    return header_path
+    return write_container(path, "recording", header, rec.data)
 
 
 def load_recording(path: str | Path) -> RawRecording:
-    header_path, data_path = container_paths(path)
-    try:
-        raw = header_path.read_text()
-    except OSError as exc:
-        raise ValueError(f"cannot read recording header {header_path}: {exc}") from exc
-    try:
-        header = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed header {header_path}: {exc}") from exc
-    for key in ("format_version", "subject_id", "sample_rate", "channels", "trials"):
-        if key not in header:
-            raise ValueError(f"malformed header {header_path}: missing key {key!r}")
-    if header["format_version"] != FORMAT_VERSION:
-        raise ValueError(f"unsupported format_version {header['format_version']}")
+    header = read_header(path, "recording", ("subject_id", "sample_rate", "channels", "trials"))
     channels = [str(c) for c in header["channels"]]
-    blob = data_path.read_bytes()
-    n_ch = len(channels)
-    if n_ch == 0 or len(blob) % (4 * n_ch) != 0:
-        raise ValueError(
-            f"channel/data shape mismatch: {len(blob)} payload bytes do not form "
-            f"{n_ch} equal float32 channels"
-        )
-    n_samples = len(blob) // (4 * n_ch)
-    data = np.frombuffer(blob, dtype="<f4").reshape(n_ch, n_samples).copy()
+    data = read_payload(path, (len(channels), -1))
     trials = [Trial(int(t["start"]), int(t["end"]), str(t["label"])) for t in header["trials"]]
     rec = RawRecording(
         subject_id=str(header["subject_id"]),
@@ -290,15 +317,6 @@ def load_recording(path: str | Path) -> RawRecording:
         trials=trials,
     )
     return rec.validate()
-
-
-def save_montage(montage: Montage, path: str | Path) -> None:
-    montage.validate()
-    entries = [
-        {"name": n, "x": float(p[0]), "y": float(p[1]), "z": float(p[2])}
-        for n, p in zip(montage.names, montage.positions)
-    ]
-    atomic_write_text(Path(path), dump_header(entries))
 
 
 def load_montage(path: str | Path) -> Montage:
@@ -324,18 +342,23 @@ def bundled_montage(name: str = "biosemi64") -> Montage:
 # Channel subsetting and windowing
 # ---------------------------------------------------------------------------
 
-def subset_channels(
-    rec: RawRecording, montage: Montage, keep: list[str]
-) -> tuple[RawRecording, Montage]:
-    """Restrict recording and montage to `keep`, in the order given."""
+def subset_recording(rec: RawRecording, keep: list[str]) -> RawRecording:
+    """Restrict the recording to `keep`, in the order given."""
     rec_idx = [rec.channel_index(n) for n in keep]
-    mon_idx = [montage.index(n) for n in keep]
-    new_rec = replace(
+    return replace(
         rec,
         channels=list(keep),
         data=rec.data[rec_idx].copy(),
         trials=[replace(t) for t in rec.trials],
     ).validate()
+
+
+def subset_channels(
+    rec: RawRecording, montage: Montage, keep: list[str]
+) -> tuple[RawRecording, Montage]:
+    """Restrict recording and montage to `keep`, in the order given."""
+    new_rec = subset_recording(rec, keep)
+    mon_idx = [montage.index(n) for n in keep]
     new_mon = Montage(names=list(keep), positions=montage.positions[mon_idx].copy()).validate()
     return new_rec, new_mon
 

@@ -7,7 +7,6 @@ the in-band bins) is interpolated over the projected electrode layout.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,12 +14,11 @@ import numpy as np
 
 from .data import (
     DecisionWindow,
-    FORMAT_VERSION,
     LABELS,
-    atomic_write_bytes,
     atomic_write_text,
-    container_paths,
-    dump_header,
+    read_header,
+    read_payload,
+    write_container,
 )
 from .geometry import ProjectedLayout
 from .interpolate import interpolator
@@ -87,20 +85,6 @@ def band_power(
     return power.mean(axis=1)
 
 
-def interpolate_map(
-    layout: ProjectedLayout,
-    values: np.ndarray,
-    grid_n: int = 32,
-    clamp_gradients: bool = False,
-) -> SsfMap:
-    """Interpolate one per-electrode value vector onto the layout grid."""
-    ct = interpolator(layout, clamp_gradients)
-    grid = ct.grid(values, grid_n, fill=0.0)
-    if not np.all(np.isfinite(grid)):
-        raise ValueError("interpolated map contains non-finite cells")
-    return SsfMap(grid=grid, extent=layout.extent)
-
-
 def extract_ssf(
     window: DecisionWindow,
     layout: ProjectedLayout,
@@ -122,13 +106,16 @@ def extract_ssf(
             f"sub-windows of >= 2 samples"
         )
     step = w // sub_windows
+    ct = interpolator(layout, clamp_gradients)
     maps = np.empty((sub_windows, grid_n, grid_n))
     for s in range(sub_windows):
         seg = window.samples[:, s * step : (s + 1) * step]
         values = band_power(seg, fs, band)
         if log_power:
             values = np.log1p(values)
-        maps[s] = interpolate_map(layout, values, grid_n, clamp_gradients).grid
+        maps[s] = ct.grid(values, grid_n, fill=0.0)
+    if not np.all(np.isfinite(maps)):
+        raise ValueError("interpolated map contains non-finite cells")
     return SsfTensor(maps=maps, label=window.label)
 
 
@@ -154,35 +141,23 @@ def save_tensor_cache(
             raise ValueError("tensors in one cache must share a shape")
         if t.label not in LABELS:
             raise ValueError(f"bad label {t.label!r}")
-    hdr_path, data_path = container_paths(path)
     header = {
-        "format_version": FORMAT_VERSION,
         "S": s,
         "grid_n": grid_n,
         "extent": [float(v) for v in extent],
         "labels": [t.label for t in tensors],
         "subjects": list(subjects),
     }
-    atomic_write_text(hdr_path, dump_header(header))
-    stack = np.stack([t.maps for t in tensors]).astype("<f4")
-    atomic_write_bytes(data_path, stack.tobytes())
-    return hdr_path
+    return write_container(path, "tensor_cache", header, np.stack([t.maps for t in tensors]))
 
 
 def load_tensor_cache(path: str | Path) -> tuple[np.ndarray, list[str], list[str], dict]:
     """Returns (maps (N,S,g,g) float32, labels, subjects, header)."""
-    hdr_path, data_path = container_paths(path)
-    header = json.loads(hdr_path.read_text())
-    if header.get("format_version") != FORMAT_VERSION:
-        raise ValueError(f"unsupported tensor cache version {header.get('format_version')}")
+    header = read_header(path, "tensor_cache", ("S", "grid_n", "labels", "subjects"))
     s, grid_n = int(header["S"]), int(header["grid_n"])
     labels = [str(x) for x in header["labels"]]
     subjects = [str(x) for x in header["subjects"]]
-    blob = np.frombuffer(data_path.read_bytes(), dtype="<f4")
-    expect = len(labels) * s * grid_n * grid_n
-    if blob.size != expect:
-        raise ValueError(f"tensor cache payload holds {blob.size} floats, expected {expect}")
-    return blob.reshape(len(labels), s, grid_n, grid_n).copy(), labels, subjects, header
+    return read_payload(path, (len(labels), s, grid_n, grid_n)), labels, subjects, header
 
 
 def write_map_pgm(ssf_map: SsfMap, path: str | Path) -> None:

@@ -9,7 +9,6 @@ reproduce bit-for-bit.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -18,16 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import stdtr
 
-from .data import (
-    FORMAT_VERSION,
-    LABEL_INDEX,
-    DecisionWindow,
-    SplitSet,
-    atomic_write_bytes,
-    atomic_write_text,
-    container_paths,
-    dump_header,
-)
+from .data import atomic_write_text, read_header, read_payload, write_container
 
 TENSOR_ORDER = (
     "conv_w", "conv_b", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var",
@@ -151,16 +141,6 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
     win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, C, H, W, 3, 3)
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * 9, h * w)
-
-
-def _col2im(dcols: np.ndarray, b: int, c: int, h: int, w: int) -> np.ndarray:
-    """Adjoint of _im2col."""
-    dxp = np.zeros((b, c, h + 2, w + 2))
-    dcols = dcols.reshape(b, c, 3, 3, h, w)
-    for ki in range(3):
-        for kj in range(3):
-            dxp[:, :, ki : ki + h, kj : kj + w] += dcols[:, :, ki, kj]
-    return dxp[:, :, 1 : 1 + h, 1 : 1 + w]
 
 
 def _draw_masks(cfg: CnnConfig, batch_size: int, rng: np.random.Generator) -> dict:
@@ -371,7 +351,6 @@ class Checkpoint:
     train_config: TrainConfig
     epoch: int
     validation_accuracy: float
-    format_version: int = FORMAT_VERSION
 
 
 @dataclass
@@ -387,35 +366,9 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def featurize(windows: list[DecisionWindow], feature_fn) -> tuple[np.ndarray, np.ndarray]:
-    """Stack feature tensors (float32) and label indices for a window list."""
-    if not windows:
-        raise ValueError("empty window set")
-    xs, ys = [], []
-    for win in windows:
-        t = feature_fn(win)
-        xs.append(np.asarray(t.maps, dtype=np.float32))
-        ys.append(LABEL_INDEX[t.label])
-    return np.stack(xs), np.array(ys, dtype=np.int64)
-
-
 def predict_proba(cfg: CnnConfig, params: dict, x: np.ndarray, chunk: int = 256) -> np.ndarray:
     outs = [forward(cfg, params, x[i : i + chunk], mode="eval")[0] for i in range(0, len(x), chunk)]
     return np.concatenate(outs, axis=0)
-
-
-def train(
-    cnn_cfg: CnnConfig,
-    train_cfg: TrainConfig,
-    splits: SplitSet,
-    feature_fn,
-) -> tuple[Checkpoint, list[dict]]:
-    """Train on a window split; feature_fn maps DecisionWindow -> SsfTensor."""
-    if not splits.train or not splits.validation:
-        raise ValueError("train and validation partitions must be non-empty")
-    x_train, y_train = featurize(splits.train, feature_fn)
-    x_val, y_val = featurize(splits.validation, feature_fn)
-    return train_arrays(cnn_cfg, train_cfg, x_train, y_train, x_val, y_val)
 
 
 def train_arrays(
@@ -500,17 +453,10 @@ def train_arrays(
     return checkpoint, history
 
 
-def evaluate(checkpoint: Checkpoint, windows: list[DecisionWindow], feature_fn) -> Metrics:
-    """Eval-mode accuracy overall and per subject (argmax decision)."""
-    if not windows:
-        raise ValueError("empty window set")
-    x, y = featurize(windows, feature_fn)
-    return evaluate_features(checkpoint, x, y, [w.subject_id for w in windows])
-
-
 def evaluate_features(
     checkpoint: Checkpoint, x: np.ndarray, y: np.ndarray, subjects: list[str]
 ) -> Metrics:
+    """Eval-mode accuracy overall and per subject (argmax decision)."""
     if len(x) == 0:
         raise ValueError("empty window set")
     probs = predict_proba(checkpoint.config, checkpoint.params, x)
@@ -534,11 +480,8 @@ def evaluate_features(
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
-    hdr_path, data_path = container_paths(path)
     validate_params(ckpt.config, ckpt.params)
     header = {
-        "format_version": ckpt.format_version,
-        "kind": "cnn_checkpoint",
         "config": asdict(ckpt.config),
         "train_config": asdict(ckpt.train_config),
         "epoch": ckpt.epoch,
@@ -547,33 +490,25 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> Path:
             {"name": n, "shape": list(ckpt.params[n].shape)} for n in TENSOR_ORDER
         ],
     }
-    atomic_write_text(hdr_path, dump_header(header))
-    blob = b"".join(
-        np.ascontiguousarray(ckpt.params[n], dtype="<f4").tobytes() for n in TENSOR_ORDER
-    )
-    atomic_write_bytes(data_path, blob)
-    return hdr_path
+    blob = np.concatenate([np.ravel(ckpt.params[n]) for n in TENSOR_ORDER])
+    return write_container(path, "cnn_checkpoint", header, blob)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
-    hdr_path, data_path = container_paths(path)
-    header = json.loads(hdr_path.read_text())
-    if header.get("format_version") != FORMAT_VERSION or header.get("kind") != "cnn_checkpoint":
-        raise ValueError(f"not a version-{FORMAT_VERSION} cnn checkpoint: {hdr_path}")
+    keys = ("config", "train_config", "epoch", "validation_accuracy", "tensors")
+    header = read_header(path, "cnn_checkpoint", keys)
     cfgd = dict(header["config"])
     cfgd["fc_sizes"] = tuple(cfgd["fc_sizes"])
     cfg = CnnConfig(**cfgd).validate()
     tc = TrainConfig(**header["train_config"]).validate()
-    blob = np.frombuffer(data_path.read_bytes(), dtype="<f4")
-    params = {}
-    off = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        size = int(np.prod(shape))
-        params[entry["name"]] = blob[off : off + size].reshape(shape).copy()
-        off += size
-    if off != blob.size:
-        raise ValueError("checkpoint payload size mismatch")
+    shapes = [tuple(entry["shape"]) for entry in header["tensors"]]
+    sizes = [math.prod(shape) for shape in shapes]
+    blob = read_payload(path, (sum(sizes),))
+    chunks = np.split(blob, np.cumsum(sizes)[:-1])
+    params = {
+        entry["name"]: chunk.reshape(shape)
+        for entry, chunk, shape in zip(header["tensors"], chunks, shapes)
+    }
     validate_params(cfg, params)
     return Checkpoint(
         config=cfg,
@@ -581,7 +516,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         train_config=tc,
         epoch=int(header["epoch"]),
         validation_accuracy=float(header["validation_accuracy"]),
-        format_version=int(header["format_version"]),
     )
 
 

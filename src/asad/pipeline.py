@@ -6,12 +6,12 @@ A workspace directory accumulates stage outputs::
     envelopes/    ground-truth speech envelopes (when the linear model runs)
     preprocessed/ alpha-band chain output, one container per subject
     preprocessed_baseline/, envelopes_rs/   inputs for the linear decoder
-    features/w{size}/{train,validation,test}.{json,f32}   tensor caches
+    features/w{size}/{train,validation,test}.{json,f32}   tensor caches (CNN only)
     runs/w{size}/seed{k}/   checkpoints and training history
     eval/, baseline_eval/   per-seed and per-subject metrics fragments
     report/       metrics.csv, report.md, paired_tests.csv
 
-Every stage writes to a temporary directory that replaces the target only
+Every stage writes to temporary directories that replace its targets only
 on success, so failed stages leave no partial outputs, and reruns with the
 same config and seeds are byte-identical.
 """
@@ -55,6 +55,7 @@ from .data import (
     segment_windows,
     stratified_split,
     subset_channels,
+    subset_recording,
     synth_recording,
 )
 from .features import (
@@ -178,6 +179,12 @@ class PipelineConfig:
         if not self.models:
             raise ConfigError("models must not be empty")
         try:
+            low, high = self.features.band
+            if not (0 < low < high < self.target_rate / 2):
+                raise ValueError(
+                    f"features.band {self.features.band} must satisfy "
+                    f"0 < low < high < target_rate / 2 = {self.target_rate / 2:g}"
+                )
             self.preproc_config().validate()
             self.cnn.validate()
             self.train.validate()
@@ -259,22 +266,26 @@ def load_config(path: str | Path, overrides: list[str] | None = None, seed: int 
 # ---------------------------------------------------------------------------
 
 @contextmanager
-def stage_output(out_dir: Path, name: str):
-    """Build a stage directory atomically: work in a temp dir, swap on success."""
+def stage_output(out_dir: Path, *names: str):
+    """Build stage directories together: work in one temp dir per name,
+    yielded as a tuple, and swap them all in only if the block succeeds."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    tmp = out_dir / f".tmp-{name.replace('/', '_')}"
-    if tmp.exists():
-        shutil.rmtree(tmp)
-    tmp.mkdir()
+    tmps = tuple(out_dir / f".tmp-{name.replace('/', '_')}" for name in names)
     try:
-        yield tmp
+        for tmp in tmps:
+            if tmp.exists():
+                shutil.rmtree(tmp)
+            tmp.mkdir()
+        yield tmps
     except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
+        for tmp in tmps:
+            shutil.rmtree(tmp, ignore_errors=True)
         raise
-    final = out_dir / name
-    if final.exists():
-        shutil.rmtree(final)
-    tmp.replace(final)
+    for tmp, name in zip(tmps, names):
+        final = out_dir / name
+        if final.exists():
+            shutil.rmtree(final)
+        tmp.replace(final)
 
 
 def resolve_montage(cfg: PipelineConfig) -> Montage:
@@ -301,14 +312,6 @@ def _recording_paths(cfg: PipelineConfig, out_dir: Path) -> list[Path]:
     return paths
 
 
-def _reorder_recording(rec: RawRecording, wanted: list[str]) -> RawRecording:
-    idx = [rec.channel_index(n) for n in wanted]
-    return replace(
-        rec, channels=list(wanted), data=rec.data[idx].copy(),
-        trials=[replace(t) for t in rec.trials],
-    ).validate()
-
-
 def _ws_tag(window_s: float) -> str:
     return f"w{window_s:g}"
 
@@ -324,8 +327,8 @@ def stage_synth(cfg: PipelineConfig, out_dir: Path) -> None:
     want_env = "linear" in cfg.models
     n_samples = _round_half_up(s.duration_s * s.sample_rate)
     max_lag = _round_half_up(s.envelope_max_lag_s * s.sample_rate)
-    with stage_output(out_dir, "recordings") as rec_tmp:
-        env_records = []
+    names = ("recordings", "envelopes") if want_env else ("recordings",)
+    with stage_output(out_dir, *names) as (rec_tmp, *env_tmps):
         for i in range(s.n_subjects):
             sid = f"S{i:02d}"
             scfg = SynthConfig(
@@ -353,13 +356,9 @@ def stage_synth(cfg: PipelineConfig, out_dir: Path) -> None:
                     rec = add_envelope_mixture(
                         rec, env_l, env_r, max_lag, s.envelope_mix_gain, (s.seed, i, 3)
                     )
-                env_records.append((sid, env_l, env_r))
+                save_envelope(env_l, env_tmps[0] / f"{sid}.left")
+                save_envelope(env_r, env_tmps[0] / f"{sid}.right")
             save_recording(rec, rec_tmp / sid)
-    if want_env:
-        with stage_output(out_dir, "envelopes") as env_tmp:
-            for sid, env_l, env_r in env_records:
-                save_envelope(env_l, env_tmp / f"{sid}.left")
-                save_envelope(env_r, env_tmp / f"{sid}.right")
 
 
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -369,49 +368,32 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
     want_lin = "linear" in cfg.models
     pp = cfg.preproc_config()
     pp_lin = cfg.preproc_config(band=cfg.baseline.band) if want_lin else None
-    with stage_output(out_dir, "preprocessed") as tmp:
-        lin_tmp = out_dir / ".tmp-preprocessed_baseline"
-        env_tmp = out_dir / ".tmp-envelopes_rs"
-        for d in (lin_tmp, env_tmp):
-            if d.exists():
-                shutil.rmtree(d)
-        if want_lin:
-            lin_tmp.mkdir()
-            env_tmp.mkdir()
-        try:
-            for path in paths:
-                rec = load_recording(path)
-                wanted = list(mont.names) + [
-                    r for r in cfg.reference_channels if r in rec.channels
-                ]
-                rec = _reorder_recording(rec, wanted)
-                prep = preprocess_recording(rec, pp)
-                if prep.channels != list(mont.names):
-                    raise RuntimeError(
-                        f"preprocessed channels diverge from montage for {rec.subject_id}"
+    names = ("preprocessed",) + (("preprocessed_baseline", "envelopes_rs") if want_lin else ())
+    with stage_output(out_dir, *names) as (tmp, *lin_tmps):
+        for path in paths:
+            rec = load_recording(path)
+            wanted = list(mont.names) + [
+                r for r in cfg.reference_channels if r in rec.channels
+            ]
+            rec = subset_recording(rec, wanted)
+            prep = preprocess_recording(rec, pp)
+            if prep.channels != list(mont.names):
+                raise RuntimeError(
+                    f"preprocessed channels diverge from montage for {rec.subject_id}"
+                )
+            save_recording(prep, tmp / rec.subject_id)
+            if want_lin:
+                lin_tmp, env_tmp = lin_tmps
+                save_recording(preprocess_recording(rec, pp_lin), lin_tmp / rec.subject_id)
+                for side in ("left", "right"):
+                    env = load_envelope(out_dir / "envelopes" / f"{rec.subject_id}.{side}")
+                    rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
+                    env_rs = Envelope(
+                        samples=np.clip(rs, 0.0, None),
+                        speaker_id=env.speaker_id,
+                        sample_rate=cfg.target_rate,
                     )
-                save_recording(prep, tmp / rec.subject_id)
-                if want_lin:
-                    save_recording(preprocess_recording(rec, pp_lin), lin_tmp / rec.subject_id)
-                    for side in ("left", "right"):
-                        env = load_envelope(out_dir / "envelopes" / f"{rec.subject_id}.{side}")
-                        rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
-                        env_rs = Envelope(
-                            samples=np.clip(rs, 0.0, None),
-                            speaker_id=env.speaker_id,
-                            sample_rate=cfg.target_rate,
-                        )
-                        save_envelope(env_rs, env_tmp / f"{rec.subject_id}.{side}")
-        except BaseException:
-            shutil.rmtree(lin_tmp, ignore_errors=True)
-            shutil.rmtree(env_tmp, ignore_errors=True)
-            raise
-        if want_lin:
-            for tmp_dir, name in ((lin_tmp, "preprocessed_baseline"), (env_tmp, "envelopes_rs")):
-                final = out_dir / name
-                if final.exists():
-                    shutil.rmtree(final)
-                tmp_dir.replace(final)
+                    save_envelope(env_rs, env_tmp / f"{rec.subject_id}.{side}")
 
 
 def _load_preprocessed(out_dir: Path, sub_dir: str = "preprocessed") -> list[RawRecording]:
@@ -436,29 +418,20 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
 
 def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     """Split windows and cache one feature tensor file per partition/window size."""
+    if "cnn" not in cfg.models:
+        return
     mont = resolve_montage(cfg)
     layout = project_electrodes(mont)
     recs = _load_preprocessed(out_dir)
     feat = cfg.features
-    with stage_output(out_dir, "features") as tmp:
+    with stage_output(out_dir, "features") as (tmp,):
         for ws in cfg.window_sizes_s:
             split = build_split(cfg, recs, ws)
             ws_dir = tmp / _ws_tag(ws)
             ws_dir.mkdir()
             for pname, wins in split.partitions().items():
-                tensors = [
-                    extract_ssf(
-                        w,
-                        layout,
-                        fs=cfg.target_rate,
-                        band=tuple(feat.band),
-                        sub_windows=feat.sub_windows,
-                        grid_n=feat.grid_n,
-                        log_power=feat.log_power,
-                        clamp_gradients=feat.clamp_gradients,
-                    )
-                    for w in wins
-                ]
+                # the feature section's fields are extract_ssf's options
+                tensors = [extract_ssf(w, layout, cfg.target_rate, **asdict(feat)) for w in wins]
                 save_tensor_cache(
                     tensors, [w.subject_id for w in wins], layout.extent, ws_dir / pname
                 )
@@ -471,7 +444,7 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
     feat_root = out_dir / "features"
     if not feat_root.is_dir():
         raise FileNotFoundError(f"{feat_root} not found (run extract first?)")
-    with stage_output(out_dir, "runs") as tmp:
+    with stage_output(out_dir, "runs") as (tmp,):
         for ws in cfg.window_sizes_s:
             ws_dir = feat_root / _ws_tag(ws)
             x_tr, lab_tr, _, _ = load_tensor_cache(ws_dir / "train")
@@ -503,7 +476,7 @@ def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
             metrics = evaluate_features(ckpt, x_te, y_te, subj_te)
             for subj, acc in metrics.per_subject.items():
                 rows.append(("cnn", ws, seed, subj, acc))
-    with stage_output(out_dir, "eval") as tmp:
+    with stage_output(out_dir, "eval") as (tmp,):
         _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
 
 
@@ -514,7 +487,7 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
     recs = _load_preprocessed(out_dir, "preprocessed_baseline")
     n_lags = _round_half_up(cfg.baseline.max_lag_s * cfg.target_rate) + 1
     rows = []
-    with stage_output(out_dir, "baseline_eval") as tmp:
+    with stage_output(out_dir, "baseline_eval") as (tmp,):
         dec_dir = tmp / "decoders"
         dec_dir.mkdir()
         for rec in recs:
@@ -597,7 +570,7 @@ def stage_report(cfg: PipelineConfig, out_dir: Path) -> None:
         acc.setdefault((model, ws, subj), []).append(a)
     merged = {k: float(np.mean(v)) for k, v in acc.items()}
 
-    with stage_output(out_dir, "report") as tmp:
+    with stage_output(out_dir, "report") as (tmp,):
         lines = [METRICS_HEADER]
         for (model, ws, subj), a in sorted(merged.items()):
             lines.append(f"{model},{ws!r},{subj},{a!r}")
@@ -659,20 +632,12 @@ def run_experiment(cfg: PipelineConfig, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.json", dump_header(cfg.to_dict()))
-    funcs = {
-        "synth": stage_synth,
-        "preprocess": stage_preprocess,
-        "extract": stage_extract,
-        "train": stage_train,
-        "eval": stage_eval,
-        "baseline": stage_baseline,
-        "report": stage_report,
-    }
     for name in STAGES:
         if name == "synth" and cfg.recordings_dir:
             continue
         try:
-            funcs[name](cfg, out)
+            # looked up at call time, so a rebound stage function is the one run
+            globals()[f"stage_{name}"](cfg, out)
         except ConfigError:
             raise
         except Exception as exc:
@@ -702,17 +667,7 @@ def dump_map(
             f"window index {window_index} out of range (have {len(windows)} windows)"
         )
     layout = project_electrodes(mont)
-    feat = cfg.features
-    tensor = extract_ssf(
-        windows[window_index],
-        layout,
-        fs=rec.sample_rate,
-        band=tuple(feat.band),
-        sub_windows=feat.sub_windows,
-        grid_n=feat.grid_n,
-        log_power=feat.log_power,
-        clamp_gradients=feat.clamp_gradients,
-    )
+    tensor = extract_ssf(windows[window_index], layout, rec.sample_rate, **asdict(cfg.features))
     ssf_map = SsfMap(grid=tensor.maps[0], extent=layout.extent)
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)

@@ -4,6 +4,7 @@ import shutil
 import numpy as np
 import pytest
 
+from asad import pipeline
 from asad.cli import main
 from asad.pipeline import ConfigError, config_from_dict, load_config
 
@@ -198,3 +199,47 @@ def test_builtin_montage_32(tmp_path):
     assert main(["run", "--config", str(p), "--out", str(out)]) == 0
     hdr = json.loads((out / "preprocessed" / "S00.json").read_text())
     assert len(hdr["channels"]) == 32
+
+
+def test_linear_only_run_writes_no_features(tmp_path):
+    p = _write_config(tmp_path, {"models": ["linear"]})
+    out = tmp_path / "lin"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert (out / "report" / "metrics.csv").exists()
+    assert not (out / "features").exists()
+
+
+def test_feature_band_above_nyquist_exits_2_before_any_stage(tmp_path):
+    p = _write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out), "--set", "features.band=[30,40]"])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+
+
+def _failing_save_envelope(*args, **kwargs):
+    raise RuntimeError("disk full")
+
+
+def test_synth_commits_recordings_and_envelopes_together(tmp_path, monkeypatch):
+    cfg = config_from_dict(TINY)
+    out = tmp_path / "o"
+    monkeypatch.setattr(pipeline, "save_envelope", _failing_save_envelope)
+    with pytest.raises(RuntimeError, match="disk full"):
+        pipeline.stage_synth(cfg, out)
+    assert not (out / "recordings").exists()
+    assert not (out / "envelopes").exists()
+    assert not any(q.name.startswith(".tmp-") for q in out.iterdir())
+
+
+def test_preprocess_commits_linear_chain_together(tmp_path, monkeypatch):
+    cfg = config_from_dict(TINY)
+    out = tmp_path / "o"
+    pipeline.stage_synth(cfg, out)
+    monkeypatch.setattr(pipeline, "save_envelope", _failing_save_envelope)
+    with pytest.raises(RuntimeError, match="disk full"):
+        pipeline.stage_preprocess(cfg, out)
+    for name in ("preprocessed", "preprocessed_baseline", "envelopes_rs"):
+        assert not (out / name).exists(), name
+    assert not any(q.name.startswith(".tmp-") for q in out.iterdir())
+    assert (out / "recordings").is_dir() and (out / "envelopes").is_dir()
