@@ -2,9 +2,12 @@
 
 Fixed architecture: same-padded 3x3 conv (stride 1) -> batch norm -> ReLU
 -> 2x2/2 average pool -> dropout -> flatten -> fc -> ReLU -> dropout ->
-fc -> ReLU -> linear -> softmax. Weights are stored single precision;
-all arithmetic runs in double precision so gradient checks and reruns
-reproduce bit-for-bit.
+fc -> ReLU -> linear -> softmax. Weights are stored single precision.
+
+Arithmetic follows the dtype of the parameters it is given: training runs
+in float32 (`init_params` returns float32), while `evaluate_features` and
+the gradient oracles run in float64. The (B, 2) softmax and the loss are
+always float64.
 """
 
 from __future__ import annotations
@@ -143,7 +146,9 @@ def _im2col(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * 9, h * w)
 
 
-def _draw_masks(cfg: CnnConfig, batch_size: int, rng: np.random.Generator) -> dict:
+def _draw_masks(
+    cfg: CnnConfig, batch_size: int, rng: np.random.Generator, dtype=np.float64
+) -> dict:
     p = cfg.dropout_p
     hp = cfg.pooled_size
     shapes = {
@@ -153,10 +158,33 @@ def _draw_masks(cfg: CnnConfig, batch_size: int, rng: np.random.Generator) -> di
     masks = {}
     for name, shape in shapes.items():
         if p == 0.0:
-            masks[name] = np.ones(shape)
+            masks[name] = np.ones(shape, dtype=dtype)
         else:
-            masks[name] = (rng.random(shape) >= p) / (1.0 - p)
+            keep = rng.random(shape, dtype=dtype) >= p
+            masks[name] = (keep / (1.0 - p)).astype(dtype, copy=False)
     return masks
+
+
+def _pool(a: np.ndarray) -> np.ndarray:
+    """2x2/2 average pool of (B, F, H, W) as a sum of four strided views."""
+    tl, tr = a[:, :, 0::2, 0::2], a[:, :, 0::2, 1::2]
+    bl, br = a[:, :, 1::2, 0::2], a[:, :, 1::2, 1::2]
+    pooled = (tl + tr) + (bl + br)
+    pooled *= 0.25
+    return pooled
+
+
+def _pool_adjoint(dpooled: np.ndarray, relu: np.ndarray) -> np.ndarray:
+    """Gradient at the pool's ReLU input: each of the four inputs of a cell
+    gets a quarter of the cell's gradient where the ReLU passed it."""
+    b, f, hp, wp = dpooled.shape
+    # repeated along columns, broadcast over each cell's row pair: a
+    # broadcast of length 2 in the innermost axis runs about twice as slow
+    quarter = np.repeat(dpooled * 0.25, 2, axis=3)[:, :, :, None, :]
+    rows = (b, f, hp, 2, 2 * wp)
+    out = np.empty_like(relu)
+    np.multiply(quarter, relu.reshape(rows) > 0, out=out.reshape(rows))
+    return out
 
 
 def forward(
@@ -171,13 +199,15 @@ def forward(
 
     Train mode normalizes with batch statistics and applies inverted
     dropout (masks drawn from `rng` unless supplied); eval mode uses the
-    running statistics and no dropout, and is fully deterministic.
+    running statistics and no dropout, and is fully deterministic. Layers
+    run in the parameters' dtype; the softmax runs in float64.
     """
     cfg.validate()
     validate_params(cfg, params)
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    x = np.asarray(batch, dtype=np.float64)
+    dt = np.result_type(*params.values())
+    x = np.asarray(batch, dtype=dt)
     if x.ndim != 4 or x.shape[1:] != (cfg.in_channels, cfg.in_size, cfg.in_size):
         raise ValueError(
             f"batch shape {x.shape} incompatible with config "
@@ -185,60 +215,65 @@ def forward(
         )
     if not np.all(np.isfinite(x)):
         raise ValueError("non-finite values in input batch")
-    p64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    p = {k: np.asarray(v, dtype=dt) for k, v in params.items()}
     b = x.shape[0]
     f = cfg.conv_filters
     h = w = cfg.in_size
     train = mode == "train"
 
     cols = _im2col(x)
-    conv = np.matmul(p64["conv_w"].reshape(f, -1), cols) + p64["conv_b"][None, :, None]
-    conv = conv.reshape(b, f, h, w)
-
+    conv = np.matmul(p["conv_w"].reshape(f, -1), cols)
+    conv += p["conv_b"][None, :, None]
+    # batch norm in place: the conv buffer becomes xhat, `relu1` holds the
+    # squared deviations and then gamma * xhat + beta
+    xhat = conv.reshape(b, f, h, w)
+    relu1 = np.empty_like(xhat)
     if train:
-        mu = conv.mean(axis=(0, 2, 3))
-        var = conv.var(axis=(0, 2, 3))
+        mu = xhat.mean(axis=(0, 2, 3))
+        xhat -= mu[None, :, None, None]
+        var = np.square(xhat, out=relu1).mean(axis=(0, 2, 3))
     else:
-        mu = p64["bn_running_mean"]
-        var = p64["bn_running_var"]
+        mu = p["bn_running_mean"]
+        var = p["bn_running_var"]
+        xhat -= mu[None, :, None, None]
     inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-    xhat = (conv - mu[None, :, None, None]) * inv_std[None, :, None, None]
-    bn = p64["bn_gamma"][None, :, None, None] * xhat + p64["bn_beta"][None, :, None, None]
-
-    relu1 = np.maximum(bn, 0.0)
-    hp = cfg.pooled_size
-    pooled = relu1.reshape(b, f, hp, 2, hp, 2).mean(axis=(3, 5))
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(p["bn_gamma"][None, :, None, None], xhat, out=relu1)
+    relu1 += p["bn_beta"][None, :, None, None]
+    np.maximum(relu1, 0.0, out=relu1)
+    pooled = _pool(relu1)
 
     if train:
         if masks is None:
             if rng is None:
                 raise ValueError("train mode needs an rng (or explicit masks) for dropout")
-            masks = _draw_masks(cfg, b, rng)
+            masks = _draw_masks(cfg, b, rng, dt)
+        else:
+            masks = {k: np.asarray(v, dtype=dt) for k, v in masks.items()}
         drop1 = pooled * masks["drop_pool"]
     else:
         drop1 = pooled
 
     flat = drop1.reshape(b, -1)
-    fc1 = flat @ p64["fc1_w"].T + p64["fc1_b"]
+    fc1 = flat @ p["fc1_w"].T + p["fc1_b"]
     relu2 = np.maximum(fc1, 0.0)
     drop2 = relu2 * masks["drop_fc1"] if train else relu2
-    fc2 = drop2 @ p64["fc2_w"].T + p64["fc2_b"]
+    fc2 = drop2 @ p["fc2_w"].T + p["fc2_b"]
     relu3 = np.maximum(fc2, 0.0)
-    logits = relu3 @ p64["out_w"].T + p64["out_b"]
+    logits = np.asarray(relu3 @ p["out_w"].T + p["out_b"], dtype=np.float64)
+    if not np.all(np.isfinite(logits)):  # finite logits give finite probabilities
+        raise FloatingPointError("non-finite activation at softmax")
 
     shifted = logits - logits.max(axis=1, keepdims=True)
     expz = np.exp(shifted)
     probs = expz / expz.sum(axis=1, keepdims=True)
-    if not np.all(np.isfinite(probs)):
-        raise FloatingPointError("non-finite activation at softmax")
 
     if not train:
         return probs, None
     cache = {
-        "x": x, "cols": cols, "conv": conv, "mu": mu, "var": var, "inv_std": inv_std,
-        "xhat": xhat, "bn": bn, "pooled": pooled, "masks": masks, "flat": flat,
-        "fc1": fc1, "relu2": relu2, "drop2": drop2, "fc2": fc2, "relu3": relu3,
-        "probs": probs, "p64": p64,
+        "cols": cols, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat,
+        "relu1": relu1, "pooled": pooled, "masks": masks, "flat": flat, "fc1": fc1,
+        "drop2": drop2, "fc2": fc2, "relu3": relu3, "probs": probs, "params": p,
     }
     return probs, cache
 
@@ -254,7 +289,8 @@ def loss_and_grad(
     """Mean cross-entropy and its gradient w.r.t. every trainable tensor.
 
     Backpropagates through the batch-norm batch statistics and reuses the
-    dropout masks drawn in the forward pass.
+    dropout masks drawn in the forward pass. The loss comes from the
+    float64 softmax; the gradients are in the parameters' dtype.
     """
     y = np.asarray(labels)
     if y.ndim != 1 or np.any((y != 0) & (y != 1)):
@@ -263,7 +299,8 @@ def loss_and_grad(
     b = len(y)
     f = cfg.conv_filters
     h = w = cfg.in_size
-    p64 = cache["p64"]
+    p = cache["params"]
+    xhat = cache["xhat"]
 
     eps = np.finfo(float).tiny
     loss = float(-np.mean(np.log(probs[np.arange(b), y] + eps)))
@@ -272,36 +309,42 @@ def loss_and_grad(
     dlogits = probs.copy()
     dlogits[np.arange(b), y] -= 1.0
     dlogits /= b
+    dlogits = dlogits.astype(xhat.dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
     grads["out_w"] = dlogits.T @ cache["relu3"]
     grads["out_b"] = dlogits.sum(axis=0)
-    drelu3 = dlogits @ p64["out_w"]
+    drelu3 = dlogits @ p["out_w"]
     dfc2 = drelu3 * (cache["fc2"] > 0)
     grads["fc2_w"] = dfc2.T @ cache["drop2"]
     grads["fc2_b"] = dfc2.sum(axis=0)
-    ddrop2 = dfc2 @ p64["fc2_w"]
+    ddrop2 = dfc2 @ p["fc2_w"]
     drelu2 = ddrop2 * cache["masks"]["drop_fc1"]
     dfc1 = drelu2 * (cache["fc1"] > 0)
     grads["fc1_w"] = dfc1.T @ cache["flat"]
     grads["fc1_b"] = dfc1.sum(axis=0)
-    dflat = dfc1 @ p64["fc1_w"]
+    dflat = dfc1 @ p["fc1_w"]
 
     hp = cfg.pooled_size
-    ddrop1 = dflat.reshape(b, f, hp, hp)
-    dpooled = ddrop1 * cache["masks"]["drop_pool"]
-    drelu1 = np.repeat(np.repeat(dpooled, 2, axis=2), 2, axis=3) / 4.0
-    dbn = drelu1 * (cache["bn"] > 0)
+    dpooled = dflat.reshape(b, f, hp, hp) * cache["masks"]["drop_pool"]
+    dbn = _pool_adjoint(dpooled, cache["relu1"])
 
-    xhat = cache["xhat"]
-    grads["bn_gamma"] = np.sum(dbn * xhat, axis=(0, 2, 3))
-    grads["bn_beta"] = np.sum(dbn, axis=(0, 2, 3))
-    dxhat = dbn * p64["bn_gamma"][None, :, None, None]
+    # batch-norm backward in place: dbn becomes dxhat and then dconv, with
+    # `tmp` holding the elementwise products
+    tmp = np.multiply(dbn, xhat)
+    grads["bn_gamma"] = tmp.sum(axis=(0, 2, 3))
+    grads["bn_beta"] = dbn.sum(axis=(0, 2, 3))
+    dxhat = dbn
+    dxhat *= p["bn_gamma"][None, :, None, None]
     n = b * h * w
     inv_std = cache["inv_std"][None, :, None, None]
     sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 2, 3), keepdims=True)
-    dconv = (inv_std / n) * (n * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
+    dconv = dxhat
+    dconv *= n
+    dconv -= sum_dxhat
+    dconv -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+    dconv *= inv_std / n
 
     dconv_mat = dconv.reshape(b, f, h * w)
     grads["conv_w"] = np.einsum("bfn,bcn->fc", dconv_mat, cache["cols"]).reshape(
@@ -321,22 +364,29 @@ def rmsprop_step(
     params: dict, grads: dict, state: dict | None, t: int, cfg: TrainConfig
 ) -> tuple[dict, dict]:
     """v <- rho v + (1-rho) g^2; theta <- theta - lr_t g / (sqrt(v) + eps),
-    with lr_t = learning_rate / (1 + decay * t). Pure function of inputs."""
+    with lr_t = learning_rate / (1 + decay * t), computed in each gradient's
+    dtype. Pure function of inputs: returns new dicts and new arrays."""
     cfg.validate()
-    if state is None:
-        state = {k: np.zeros_like(np.asarray(grads[k], dtype=np.float64)) for k in grads}
     lr_t = cfg.learning_rate / (1.0 + cfg.decay * t)
+    rho = cfg.rmsprop_rho
     new_params = dict(params)
     new_state = {}
     for name, g in grads.items():
-        g = np.asarray(g, dtype=np.float64)
-        if state[name].shape != g.shape:
+        g = np.asarray(g)
+        v_old = np.zeros_like(g) if state is None else np.asarray(state[name], dtype=g.dtype)
+        if v_old.shape != g.shape:
             raise ValueError(f"optimizer state shape mismatch for {name!r}")
-        v = cfg.rmsprop_rho * state[name] + (1.0 - cfg.rmsprop_rho) * g * g
-        theta = np.asarray(params[name], dtype=np.float64)
-        theta = theta - lr_t * g / (np.sqrt(v) + cfg.rmsprop_epsilon)
+        v = rho * v_old
+        tmp = (1.0 - rho) * g
+        tmp *= g
+        v += tmp
+        denom = np.sqrt(v, out=tmp)
+        denom += cfg.rmsprop_epsilon
+        step = lr_t * g
+        step /= denom
+        theta = np.subtract(np.asarray(params[name], dtype=g.dtype), step, out=step)
         new_state[name] = v
-        new_params[name] = theta.astype(params[name].dtype)
+        new_params[name] = theta.astype(params[name].dtype, copy=False)
     return new_params, new_state
 
 
@@ -414,15 +464,11 @@ def train_arrays(
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             trained = {k: grads[k] for k in TRAINED}
             params, state = rmsprop_step(params, trained, state, epoch, train_cfg)
-            params["bn_running_mean"] = (
-                mom * params["bn_running_mean"].astype(np.float64)
-                + (1.0 - mom) * aux["batch_mean"]
-            ).astype(params["bn_running_mean"].dtype)
+            run_mean, run_var = params["bn_running_mean"], params["bn_running_var"]
+            params["bn_running_mean"] = mom * run_mean + (1.0 - mom) * aux["batch_mean"]
             params["bn_running_var"] = np.maximum(
-                mom * params["bn_running_var"].astype(np.float64)
-                + (1.0 - mom) * aux["batch_var"],
-                1e-12,
-            ).astype(params["bn_running_var"].dtype)
+                mom * run_var + (1.0 - mom) * aux["batch_var"], 1e-12
+            )
             total_loss += loss * len(idx)
             correct += aux["correct"]
         val_probs = predict_proba(cnn_cfg, params, x_val)
@@ -456,10 +502,12 @@ def train_arrays(
 def evaluate_features(
     checkpoint: Checkpoint, x: np.ndarray, y: np.ndarray, subjects: list[str]
 ) -> Metrics:
-    """Eval-mode accuracy overall and per subject (argmax decision)."""
+    """Eval-mode accuracy overall and per subject (argmax decision), in
+    float64 whatever the checkpoint's dtype."""
     if len(x) == 0:
         raise ValueError("empty window set")
-    probs = predict_proba(checkpoint.config, checkpoint.params, x)
+    params = {k: np.asarray(v, dtype=np.float64) for k, v in checkpoint.params.items()}
+    probs = predict_proba(checkpoint.config, params, x)
     hits = probs.argmax(axis=1) == np.asarray(y)
     per_subject: dict[str, list[bool]] = {}
     for subj, hit in zip(subjects, hits):

@@ -4,7 +4,7 @@ A workspace directory accumulates stage outputs::
 
     recordings/   synthetic (or converted) recording containers
     envelopes/    ground-truth speech envelopes (when the linear model runs)
-    preprocessed/ alpha-band chain output, one container per subject
+    preprocessed/ alpha-band chain output, one container per subject (CNN only)
     preprocessed_baseline/, envelopes_rs/   inputs for the linear decoder
     features/w{size}/{train,validation,test}.{json,f32}   tensor caches (CNN only)
     runs/w{size}/seed{k}/   checkpoints and training history
@@ -21,6 +21,7 @@ from __future__ import annotations
 import csv
 import json
 import shutil
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -362,29 +363,37 @@ def stage_synth(cfg: PipelineConfig, out_dir: Path) -> None:
 
 
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
-    """Run the preprocessing chain(s) over every recording."""
+    """Run the preprocessing chain of each model over every recording: the
+    alpha-band chain for the CNN, the broadband chain and the resampled
+    envelopes for the linear decoder."""
     mont = resolve_montage(cfg)
     paths = _recording_paths(cfg, out_dir)
+    want_cnn = "cnn" in cfg.models
     want_lin = "linear" in cfg.models
     pp = cfg.preproc_config()
-    pp_lin = cfg.preproc_config(band=cfg.baseline.band) if want_lin else None
-    names = ("preprocessed",) + (("preprocessed_baseline", "envelopes_rs") if want_lin else ())
-    with stage_output(out_dir, *names) as (tmp, *lin_tmps):
+    pp_lin = cfg.preproc_config(band=cfg.baseline.band)
+    names = (("preprocessed",) if want_cnn else ()) + (
+        ("preprocessed_baseline", "envelopes_rs") if want_lin else ()
+    )
+    with stage_output(out_dir, *names) as tmps:
+        tmp = dict(zip(names, tmps))
         for path in paths:
             rec = load_recording(path)
             wanted = list(mont.names) + [
                 r for r in cfg.reference_channels if r in rec.channels
             ]
             rec = subset_recording(rec, wanted)
-            prep = preprocess_recording(rec, pp)
-            if prep.channels != list(mont.names):
-                raise RuntimeError(
-                    f"preprocessed channels diverge from montage for {rec.subject_id}"
-                )
-            save_recording(prep, tmp / rec.subject_id)
+            if want_cnn:
+                prep = preprocess_recording(rec, pp)
+                if prep.channels != list(mont.names):
+                    raise RuntimeError(
+                        f"preprocessed channels diverge from montage for {rec.subject_id}"
+                    )
+                save_recording(prep, tmp["preprocessed"] / rec.subject_id)
             if want_lin:
-                lin_tmp, env_tmp = lin_tmps
-                save_recording(preprocess_recording(rec, pp_lin), lin_tmp / rec.subject_id)
+                save_recording(
+                    preprocess_recording(rec, pp_lin), tmp["preprocessed_baseline"] / rec.subject_id
+                )
                 for side in ("left", "right"):
                     env = load_envelope(out_dir / "envelopes" / f"{rec.subject_id}.{side}")
                     rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
@@ -393,7 +402,7 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
                         speaker_id=env.speaker_id,
                         sample_rate=cfg.target_rate,
                     )
-                    save_envelope(env_rs, env_tmp / f"{rec.subject_id}.{side}")
+                    save_envelope(env_rs, tmp["envelopes_rs"] / f"{rec.subject_id}.{side}")
 
 
 def _load_preprocessed(out_dir: Path, sub_dir: str = "preprocessed") -> list[RawRecording]:
@@ -480,12 +489,33 @@ def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
         _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
 
 
+def _n_lags(cfg: PipelineConfig) -> int:
+    return _round_half_up(cfg.baseline.max_lag_s * cfg.target_rate) + 1
+
+
+def short_linear_windows(cfg: PipelineConfig) -> dict[float, str]:
+    """Window sizes the linear decoder skips, each with the reason: a window
+    needs at least 3 samples more than the decoder's lag span."""
+    if "linear" not in cfg.models:
+        return {}
+    n_lags = _n_lags(cfg)
+    short = {}
+    for ws in cfg.window_sizes_s:
+        w_len = _round_half_up(ws * cfg.target_rate)
+        if w_len < n_lags + 3:
+            short[ws] = f"{w_len} samples, fewer than {n_lags} lags + 3"
+    return short
+
+
 def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
     """Fit and evaluate the per-subject linear decoders."""
     if "linear" not in cfg.models:
         return
     recs = _load_preprocessed(out_dir, "preprocessed_baseline")
-    n_lags = _round_half_up(cfg.baseline.max_lag_s * cfg.target_rate) + 1
+    n_lags = _n_lags(cfg)
+    short = short_linear_windows(cfg)
+    for ws, why in short.items():
+        print(f"baseline: skipping linear at {ws:g} s windows ({why})", file=sys.stderr)
     rows = []
     with stage_output(out_dir, "baseline_eval") as (tmp,):
         dec_dir = tmp / "decoders"
@@ -496,9 +526,8 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
                 for side in ("left", "right")
             }
             for ws in cfg.window_sizes_s:
-                w_len = _round_half_up(ws * cfg.target_rate)
-                if w_len < n_lags + 3:
-                    continue  # window too short for the lag span
+                if ws in short:
+                    continue
                 split = build_split(cfg, [rec], ws)
 
                 def seg(win, side):
@@ -593,6 +622,13 @@ def stage_report(cfg: PipelineConfig, out_dir: Path) -> None:
                     cells.append("-")
             md.append(f"| {model} | " + " | ".join(cells) + " |")
         md.append("")
+        short = short_linear_windows(cfg)
+        if short:
+            md.append("## Skipped")
+            md.append("")
+            for ws, why in short.items():
+                md.append(f"- linear at {ws:g} s windows: {why}")
+            md.append("")
 
         pair_lines = [PAIRED_HEADER]
         for i, ma in enumerate(models):

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,6 +14,8 @@ from asad.network import (
     TrainingDiverged,
     TRAINED,
     _draw_masks,
+    _pool,
+    _pool_adjoint,
     evaluate_features,
     forward,
     init_params,
@@ -15,6 +23,7 @@ from asad.network import (
     loss_and_grad,
     paired_t_test,
     param_shapes,
+    predict_proba,
     rmsprop_step,
     save_checkpoint,
     train_arrays,
@@ -274,3 +283,136 @@ def test_paired_t_test_degenerate_and_symmetry():
     rev = paired_t_test(b, a)
     assert abs(fwd.t + rev.t) < 1e-12
     assert abs(fwd.p - rev.p) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dtype-following arithmetic: float32 training, float64 oracles and eval
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("shape", [(1, 1, 2, 2), (3, 2, 8, 8), (64, 8, 32, 32)])
+def test_pool_matches_reshape_mean_bitwise(shape):
+    a = np.random.default_rng(0).normal(size=shape)
+    b, f, h, w = shape
+    ref = a.reshape(b, f, h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    assert _pool(a).tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 1, 1), (3, 2, 4, 4), (64, 8, 16, 16)])
+def test_pool_adjoint_matches_double_repeat_bitwise(shape):
+    rng = np.random.default_rng(1)
+    d = rng.normal(size=shape)
+    b, f, hp, wp = shape
+    up = np.repeat(np.repeat(d, 2, 2), 2, 3) / 4
+    assert _pool_adjoint(d, np.ones((b, f, 2 * hp, 2 * wp))).tobytes() == up.tobytes()
+    relu = np.maximum(rng.normal(size=(b, f, 2 * hp, 2 * wp)), 0.0)
+    assert _pool_adjoint(d, relu).tobytes() == (up * (relu > 0)).tobytes()
+
+
+def test_float32_gradients_match_float64(rng):
+    p32 = init_params(TINY, rng)
+    for name in ("conv_b", "bn_beta", "fc1_b", "fc2_b", "out_b"):
+        p32[name] = p32[name] + rng.normal(0, 0.05, p32[name].shape).astype(np.float32)
+    p64 = {k: v.astype(np.float64) for k, v in p32.items()}
+    x = rng.normal(size=(16, 2, 8, 8)).astype(np.float32)
+    y = np.arange(16) % 2
+    masks = _draw_masks(TINY, 16, rng)
+    loss32, g32, _ = loss_and_grad(TINY, p32, x, y, masks=masks)
+    loss64, g64, _ = loss_and_grad(TINY, p64, x, y, masks=masks)
+    assert abs(loss32 - loss64) <= 1e-5 * abs(loss64)
+    for name in TRAINED:
+        assert g32[name].dtype == np.float32 and g64[name].dtype == np.float64
+        err = np.linalg.norm(g32[name] - g64[name])
+        if name == "conv_b":  # batch norm cancels the conv bias: zero up to rounding
+            assert err <= 1e-5 * np.linalg.norm(g64["conv_w"])
+        else:
+            assert err <= 1e-3 * np.linalg.norm(g64[name]), name
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_rmsprop_keeps_dtype_and_inputs(dtype):
+    rng = np.random.default_rng(2)
+    params = {"w": rng.normal(size=(4, 3)).astype(dtype)}
+    grads = {"w": rng.normal(size=(4, 3)).astype(dtype)}
+    before = (params["w"].copy(), grads["w"].copy())
+    p1, s1 = rmsprop_step(params, grads, None, 0, TrainConfig())
+    s1_before = s1["w"].copy()
+    p2, s2 = rmsprop_step(p1, grads, dict(s1), 1, TrainConfig())
+    for arr in (p1["w"], s1["w"], p2["w"], s2["w"]):
+        assert arr.dtype == dtype
+    assert np.array_equal(params["w"], before[0]) and np.array_equal(grads["w"], before[1])
+    assert np.array_equal(s1["w"], s1_before)
+
+
+def _predict_float64(cfg, params, x):
+    """Eval-mode decisions in float64 with a conv written as nine shifted
+    products, independent of the network module's im2col and pool."""
+    p = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    x = np.asarray(x, dtype=np.float64)
+    b, _, h, w = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    conv = np.zeros((b, cfg.conv_filters, h, w))
+    for ki in range(3):
+        for kj in range(3):
+            conv += np.einsum(
+                "fc,bchw->bfhw", p["conv_w"][:, :, ki, kj], xp[:, :, ki : ki + h, kj : kj + w]
+            )
+    conv += p["conv_b"][None, :, None, None]
+    scale = p["bn_gamma"] / np.sqrt(p["bn_running_var"] + cfg.bn_epsilon)
+    bn = (conv - p["bn_running_mean"][None, :, None, None]) * scale[None, :, None, None]
+    act = np.maximum(bn + p["bn_beta"][None, :, None, None], 0.0)
+    pooled = act.reshape(b, act.shape[1], h // 2, 2, w // 2, 2).mean(axis=(3, 5))
+    z = np.maximum(pooled.reshape(b, -1) @ p["fc1_w"].T + p["fc1_b"], 0.0)
+    z = np.maximum(z @ p["fc2_w"].T + p["fc2_b"], 0.0)
+    return np.argmax(z @ p["out_w"].T + p["out_b"], axis=1)
+
+
+def test_evaluate_features_decides_in_float64():
+    # inputs of 1e6 plus unit noise through the centre tap of the conv: the
+    # running mean removes the offset, so float32 rounding of the conv sum
+    # is a few percent of the signal and flips some decisions, float64's is not
+    rng = np.random.default_rng(0)
+    params = init_params(TINY, rng)
+    centre = params["conv_w"][:, :, 1, 1].copy()
+    params["conv_w"][:] = 0.0
+    params["conv_w"][:, :, 1, 1] = centre
+    params["bn_running_mean"] = (centre.astype(np.float64).sum(axis=1) * 1e6).astype(np.float32)
+    params["out_b"] = np.array([0.0, 0.01], dtype=np.float32)
+    x = (1e6 + rng.normal(size=(400, 2, 8, 8))).astype(np.float32)
+    ref = _predict_float64(TINY, params, x)
+    assert 0.2 < ref.mean() < 0.8
+    assert np.any(predict_proba(TINY, params, x).argmax(axis=1) != ref)  # float32 differs
+    m = evaluate_features(Checkpoint(TINY, params, TrainConfig(), 0, 0.5), x, ref, ["s"] * 400)
+    assert m.accuracy == 1.0
+
+
+_TRAIN_HASH = textwrap.dedent(
+    """
+    import hashlib
+    import numpy as np
+    from asad.network import TENSOR_ORDER, CnnConfig, TrainConfig, train_arrays
+    cfg = CnnConfig()
+    rng = np.random.default_rng(11)
+    x = rng.normal(size=(320, 1, 32, 32)).astype(np.float32)
+    y = np.arange(320) % 2
+    tc = TrainConfig(max_epochs=1, seed=4)
+    ckpt, _ = train_arrays(cfg, tc, x[:256], y[:256], x[256:], y[256:])
+    h = hashlib.sha256()
+    for name in TENSOR_ORDER:
+        h.update(np.ascontiguousarray(ckpt.params[name]).tobytes())
+    print(h.hexdigest())
+    """
+)
+
+
+def test_training_hash_same_for_one_and_two_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        res = subprocess.run(
+            [sys.executable, "-c", _TRAIN_HASH], env=env, capture_output=True, text=True,
+            check=True, timeout=300,
+        )
+        digests.append(res.stdout.strip())
+    assert len(digests[0]) == 64 and digests[0] == digests[1]

@@ -243,3 +243,25 @@ def test_preprocess_commits_linear_chain_together(tmp_path, monkeypatch):
         assert not (out / name).exists(), name
     assert not any(q.name.startswith(".tmp-") for q in out.iterdir())
     assert (out / "recordings").is_dir() and (out / "envelopes").is_dir()
+
+
+def test_linear_only_run_writes_no_preprocessed(tmp_path):
+    p = _write_config(tmp_path, {"models": ["linear"]})
+    out = tmp_path / "lin"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    assert not (out / "preprocessed").exists()
+    assert (out / "preprocessed_baseline").is_dir() and (out / "envelopes_rs").is_dir()
+
+
+def test_short_linear_window_named_in_report_and_stderr(tmp_path, capsys):
+    p = _write_config(tmp_path, {"models": ["linear"], "window_sizes_s": [0.1, 1.0]})
+    out = tmp_path / "lin"
+    assert main(["run", "--config", str(p), "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    # 0.1 s at 70 Hz is 7 samples; the 0.25 s lag span is 19 lags
+    assert "skipping linear at 0.1 s windows (7 samples, fewer than 19 lags + 3)" in err
+    assert err.count("skipping linear") == 1
+    report = (out / "report" / "report.md").read_text()
+    assert "- linear at 0.1 s windows: 7 samples, fewer than 19 lags + 3" in report
+    rows = (out / "report" / "metrics.csv").read_text().splitlines()[1:]
+    assert rows and all(r.startswith("linear,1.0,") for r in rows)
