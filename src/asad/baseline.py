@@ -5,9 +5,12 @@ Ridge regression from time-lagged EEG to the speech envelope:
     s_hat(t) = sum_c sum_tau w(c, tau) * eeg(c, t + tau)
 
 solved from (R + lambda * mean(diag(R)) * I) w = r with R the lagged EEG
-autocovariance and r the EEG-envelope cross-covariance. Attention is
-decided per decision window by Pearson-correlating the reconstruction
-against the two candidate envelopes.
+autocovariance and r the EEG-envelope cross-covariance. Overlapping
+training windows share lagged rows, so R and r sum each distinct row once,
+weighted by the number of windows that hold it. Attention is decided per
+decision window by Pearson-correlating the reconstruction against the two
+candidate envelopes; the reconstruction is computed once per recording and
+sliced into windows.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .data import (
     LEFT,
     RIGHT,
+    DecisionWindow,
     RawRecording,
     _round_half_up,
     read_header,
@@ -30,6 +34,10 @@ from .data import (
 )
 
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-3, 4))
+# lagged rows formed at a time by accumulate_covariances: the design block
+# stays small (2.4 MiB at 32 channels x 19 lags), so fitting adds little to
+# the peak memory of the baseline stage
+ROW_CHUNK = 512
 
 
 @dataclass
@@ -75,25 +83,80 @@ def _lagged_design(eeg: np.ndarray, n_lags: int) -> np.ndarray:
     return np.ascontiguousarray(sw.transpose(1, 0, 2)).reshape(t - n_lags + 1, -1)
 
 
-def accumulate_covariances(
-    segments: list[tuple[np.ndarray, np.ndarray]], n_lags: int
+@dataclass
+class WindowSet:
+    """Equal-length decision windows on one recording, by first sample."""
+
+    starts: np.ndarray  # (k,) first sample of each window
+    length: int  # samples per window
+    labels: np.ndarray  # (k,) LEFT or RIGHT
+
+    @classmethod
+    def of(cls, windows: list[DecisionWindow]) -> "WindowSet":
+        lengths = {w.length for w in windows}
+        if len(lengths) != 1:
+            raise ValueError("need a non-empty set of equal-length windows")
+        return cls(
+            starts=np.array([w.origin[1] for w in windows], dtype=np.intp),
+            length=lengths.pop(),
+            labels=np.array([w.label for w in windows]),
+        )
+
+    def rows(self, n_lags: int) -> np.ndarray:
+        """(k, length - n_lags + 1) samples at which each window's lagged
+        rows, and so its reconstruction, start."""
+        if self.length < n_lags:
+            raise ValueError(
+                f"series of {self.length} samples is shorter than max lag {n_lags - 1}"
+            )
+        return self.starts[:, None] + np.arange(self.length - n_lags + 1)
+
+
+def train_weights(
+    windows: WindowSet, env_left: np.ndarray, env_right: np.ndarray, n_lags: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum lagged auto-/cross-covariances over (eeg, envelope) segments."""
-    dim = None
-    r_auto = r_cross = None
-    for eeg, env in segments:
-        if eeg.shape[1] != len(env):
-            raise ValueError("eeg and envelope must be aligned and equal length")
-        x = _lagged_design(np.asarray(eeg, dtype=float), n_lags)
-        y = np.asarray(env, dtype=float)[: x.shape[0]]
-        if dim is None:
-            dim = x.shape[1]
-            r_auto = np.zeros((dim, dim))
-            r_cross = np.zeros(dim)
-        r_auto += x.T @ x
-        r_cross += x.T @ y
-    if r_auto is None:
-        raise ValueError("no segments supplied")
+    """Per-sample multiplicity m (how many windows hold the lagged row that
+    starts there) and attended-envelope target y, over the recording that
+    the envelopes span."""
+    rows = windows.rows(n_lags)
+    m = np.bincount(rows.ravel(), minlength=len(env_left)).astype(float)
+    y = np.zeros(len(env_left))
+    for side, env in ((LEFT, env_left), (RIGHT, env_right)):
+        r = rows[windows.labels == side]
+        y[r] = env[r]
+    return m, y
+
+
+def accumulate_covariances(
+    eeg: np.ndarray, m: np.ndarray, y: np.ndarray, n_lags: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lagged auto-/cross-covariances with the row at sample t weighted by
+    m[t] >= 0: sum_t m[t] x_t x_t' and sum_t m[t] y[t] x_t, x_t holding
+    eeg[c, t + tau]. Each row is built once, whatever its weight: every run
+    of m > 0 is formed ROW_CHUNK rows at a time and scaled by sqrt(m)."""
+    eeg, m, y = (np.asarray(a, dtype=float) for a in (eeg, m, y))
+    t = eeg.shape[1]
+    if m.shape != (t,) or y.shape != (t,):
+        raise ValueError("weights and target must hold one value per EEG sample")
+    if np.any(m < 0):
+        raise ValueError("row weights must be non-negative")
+    n_rows = t - n_lags + 1
+    if n_rows < 1 or np.any(m[n_rows:]):
+        raise ValueError("a weighted row runs past the end of the series")
+    active = np.concatenate(([False], m[:n_rows] > 0, [False]))
+    edges = np.flatnonzero(active[1:] != active[:-1])  # run starts and ends alternate
+    if len(edges) == 0:
+        raise ValueError("no weighted rows")
+    dim = eeg.shape[0] * n_lags
+    r_auto, r_cross = np.zeros((dim, dim)), np.zeros(dim)
+    for lo_run, hi_run in zip(edges[::2], edges[1::2]):
+        for lo in range(lo_run, hi_run, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, hi_run)
+            x = _lagged_design(eeg[:, lo : hi + n_lags - 1], n_lags)
+            root = np.sqrt(m[lo:hi])
+            x *= root[:, None]
+            r_auto += x.T @ x
+            r_cross += x.T @ (root * y[lo:hi])
     return r_auto, r_cross
 
 
@@ -112,6 +175,10 @@ def _solve(r_auto: np.ndarray, r_cross: np.ndarray, lam: float) -> np.ndarray:
     return w
 
 
+def _decoder(w: np.ndarray, n_ch: int, n_lags: int, lam: float) -> LinearDecoder:
+    return LinearDecoder(weights=w.reshape(n_ch, n_lags), lags=np.arange(n_lags), ridge_lambda=lam)
+
+
 def fit_decoder(
     eeg: np.ndarray,
     envelope: Envelope | np.ndarray,
@@ -127,82 +194,113 @@ def fit_decoder(
 def fit_decoder_segments(
     segments: list[tuple[np.ndarray, np.ndarray]], n_lags: int, ridge_lambda: float
 ) -> LinearDecoder:
-    """Fit across many segments (e.g. decision windows) at once."""
-    r_auto, r_cross = accumulate_covariances(segments, n_lags)
+    """Fit across many segments (e.g. decision windows) at once: the segments
+    are laid end to end, with weight 1 on each segment's own lagged rows and
+    0 on the rows that would span two segments."""
+    if not segments:
+        raise ValueError("no segments supplied")
+    weights = []
+    for eeg, env in segments:
+        t = eeg.shape[1]
+        if t != len(env):
+            raise ValueError("eeg and envelope must be aligned and equal length")
+        if t < n_lags:
+            raise ValueError(f"series of {t} samples is shorter than max lag {n_lags - 1}")
+        weights.append(np.arange(t) <= t - n_lags)
+    eeg = np.concatenate([e for e, _ in segments], axis=1)
+    y = np.concatenate([v for _, v in segments])
+    r_auto, r_cross = accumulate_covariances(eeg, np.concatenate(weights), y, n_lags)
     w = _solve(r_auto, r_cross, ridge_lambda)
-    n_ch = segments[0][0].shape[0]
-    return LinearDecoder(
-        weights=w.reshape(n_ch, n_lags), lags=np.arange(n_lags), ridge_lambda=ridge_lambda
-    ).validate()
+    return _decoder(w, eeg.shape[0], n_lags, ridge_lambda).validate()
 
 
 def reconstruct(decoder: LinearDecoder, eeg: np.ndarray) -> np.ndarray:
-    """s_hat(t) = sum_{c,tau} w(c,tau) eeg(c, t+tau); last L samples truncated."""
+    """s_hat(t) = sum_{c,tau} w(c,tau) eeg(c, t+tau); last L samples truncated.
+    One (n_lags, C) x (C, T) product, then a sum of its rows shifted by
+    their lag, so no lagged design is formed."""
     decoder.validate()
     eeg = np.asarray(eeg, dtype=float)
     if eeg.shape[0] != decoder.weights.shape[0]:
         raise ValueError(
             f"decoder expects {decoder.weights.shape[0]} channels, got {eeg.shape[0]}"
         )
-    x = _lagged_design(eeg, len(decoder.lags))
-    return x @ decoder.weights.ravel()
+    n_lags = len(decoder.lags)
+    n = eeg.shape[1] - n_lags + 1
+    if n < 1:
+        raise ValueError(f"series of {eeg.shape[1]} samples is shorter than max lag {n_lags - 1}")
+    per_lag = decoder.weights.T @ eeg
+    s_hat = per_lag[0, :n].copy()
+    for tau in range(1, n_lags):
+        s_hat += per_lag[tau, tau : tau + n]
+    return s_hat
 
 
-def pearson(a: np.ndarray, b: np.ndarray) -> float:
+def pearson(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """Correlation of two 1-D series, or of matching rows of two 2-D arrays."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.ndim != 1 or len(a) < 3:
-        raise ValueError("need equal-length 1-D series of length >= 3")
-    da, db = a - a.mean(), b - b.mean()
-    na, nb = np.linalg.norm(da), np.linalg.norm(db)
-    if na == 0 or nb == 0:
+    if a.shape != b.shape or a.ndim not in (1, 2) or a.shape[-1] < 3:
+        raise ValueError("need equal-shape 1-D series or rows of length >= 3")
+    da = a - a.mean(axis=-1, keepdims=True)
+    db = b - b.mean(axis=-1, keepdims=True)
+    na = np.sqrt(np.einsum("...i,...i->...", da, da))
+    nb = np.sqrt(np.einsum("...i,...i->...", db, db))
+    if np.any(na == 0) or np.any(nb == 0):
         raise ValueError("zero-variance series in correlation")
-    return float(np.dot(da, db) / (na * nb))
+    r = np.einsum("...i,...i->...", da, db) / (na * nb)
+    return float(r) if a.ndim == 1 else r
 
 
 @dataclass
 class Decision:
-    label: str
-    r_left: float
-    r_right: float
-    tie: bool = False
+    label: str | np.ndarray
+    r_left: float | np.ndarray
+    r_right: float | np.ndarray
+    tie: bool | np.ndarray = False
 
 
 def decide_attention(s_hat: np.ndarray, env_left: np.ndarray, env_right: np.ndarray) -> Decision:
     """Pick the side whose candidate envelope correlates best with the
-    reconstruction; exact ties go Left with the tie flag set."""
+    reconstruction; exact ties go Left with the tie flag set. Rows of 2-D
+    inputs are separate windows, decided together into arrays."""
     r_l = pearson(s_hat, env_left)
     r_r = pearson(s_hat, env_right)
-    if r_l == r_r:
-        return Decision(label=LEFT, r_left=r_l, r_right=r_r, tie=True)
-    return Decision(label=LEFT if r_l > r_r else RIGHT, r_left=r_l, r_right=r_r)
+    label = np.where(r_l >= r_r, LEFT, RIGHT)
+    tie = np.equal(r_l, r_r)
+    if np.ndim(r_l) == 0:
+        return Decision(label=str(label), r_left=r_l, r_right=r_r, tie=bool(tie))
+    return Decision(label=label, r_left=r_l, r_right=r_r, tie=tie)
 
 
 def select_lambda(
-    train_segments: list[tuple[np.ndarray, np.ndarray]],
-    val_windows: list[tuple[np.ndarray, np.ndarray, np.ndarray, str]],
+    train: tuple[np.ndarray, np.ndarray, np.ndarray],
+    val: tuple[np.ndarray, np.ndarray, WindowSet],
     n_lags: int,
     grid: tuple[float, ...] = LAMBDA_GRID,
 ) -> tuple[LinearDecoder, float]:
     """Fit once per grid value, keep the decoder with the best validation
-    decision accuracy (ties favor the smaller lambda)."""
-    r_auto, r_cross = accumulate_covariances(train_segments, n_lags)
-    n_ch = train_segments[0][0].shape[0]
+    decision accuracy (ties favor the smaller lambda); a lambda with a
+    singular system is skipped.
+
+    `train` is (eeg, m, y) as for `accumulate_covariances`; `val` is
+    (env_left, env_right, windows) for validation windows on the same
+    recording. Each fit reconstructs the recording once and decides every
+    window from slices of it.
+    """
+    eeg, m, y = train
+    env_left, env_right, windows = val
+    r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+    rows = windows.rows(n_lags)
     best = None
     for lam in sorted(grid):
         try:
             w = _solve(r_auto, r_cross, lam)
         except ValueError:
             continue
-        dec = LinearDecoder(
-            weights=w.reshape(n_ch, n_lags), lags=np.arange(n_lags), ridge_lambda=lam
-        )
-        hits = 0
-        for eeg, env_l, env_r, label in val_windows:
-            s_hat = reconstruct(dec, eeg)
-            d = decide_attention(s_hat, env_l[: len(s_hat)], env_r[: len(s_hat)])
-            hits += d.label == label
-        acc = hits / len(val_windows)
+        dec = _decoder(w, eeg.shape[0], n_lags, lam)
+        s_hat = reconstruct(dec, eeg)
+        d = decide_attention(s_hat[rows], env_left[rows], env_right[rows])
+        acc = int(np.sum(d.label == windows.labels)) / len(windows.labels)
         if best is None or acc > best[0]:
             best = (acc, dec)
     if best is None:

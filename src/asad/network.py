@@ -200,10 +200,11 @@ def forward(
     Train mode normalizes with batch statistics and applies inverted
     dropout (masks drawn from `rng` unless supplied); eval mode uses the
     running statistics and no dropout, and is fully deterministic. Layers
-    run in the parameters' dtype; the softmax runs in float64.
+    run in the parameters' dtype; the softmax runs in float64. Parameters
+    are checked where they enter (`train_arrays`, `load_checkpoint`,
+    `evaluate_features`), not per batch.
     """
     cfg.validate()
-    validate_params(cfg, params)
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     dt = np.result_type(*params.values())
@@ -290,7 +291,8 @@ def loss_and_grad(
 
     Backpropagates through the batch-norm batch statistics and reuses the
     dropout masks drawn in the forward pass. The loss comes from the
-    float64 softmax; the gradients are in the parameters' dtype.
+    float64 softmax; the gradients are in the parameters' dtype. Raises
+    FloatingPointError when the loss or the gradient norm is not finite.
     """
     y = np.asarray(labels)
     if y.ndim != 1 or np.any((y != 0) & (y != 1)):
@@ -352,9 +354,11 @@ def loss_and_grad(
     )
     grads["conv_b"] = dconv_mat.sum(axis=(0, 2))
 
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError(f"non-finite gradient for {name!r}")
+    # one pass per tensor: a non-finite element (or a norm past the dtype's
+    # range) gives a non-finite norm
+    grad_norm = math.sqrt(sum(float(np.vdot(g, g)) for g in grads.values()))
+    if not (math.isfinite(loss) and math.isfinite(grad_norm)):
+        raise FloatingPointError(f"non-finite loss {loss} or gradient norm {grad_norm}")
 
     aux = {"correct": correct, "batch_mean": cache["mu"], "batch_var": cache["var"]}
     return loss, grads, aux
@@ -441,6 +445,7 @@ def train_arrays(
 
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(cnn_cfg, rng)
+    validate_params(cnn_cfg, params)
     state: dict | None = None
     mom = cnn_cfg.bn_momentum
     n = len(x_train)
@@ -460,8 +465,6 @@ def train_arrays(
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, batch {lo // train_cfg.batch_size}: {exc}"
                 ) from exc
-            if not math.isfinite(loss):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             trained = {k: grads[k] for k in TRAINED}
             params, state = rmsprop_step(params, trained, state, epoch, train_cfg)
             run_mean, run_var = params["bn_running_mean"], params["bn_running_var"]
@@ -506,6 +509,7 @@ def evaluate_features(
     float64 whatever the checkpoint's dtype."""
     if len(x) == 0:
         raise ValueError("empty window set")
+    validate_params(checkpoint.config, checkpoint.params)
     params = {k: np.asarray(v, dtype=np.float64) for k, v in checkpoint.params.items()}
     probs = predict_proba(checkpoint.config, params, x)
     hits = probs.argmax(axis=1) == np.asarray(y)

@@ -8,7 +8,8 @@ A workspace directory accumulates stage outputs::
     preprocessed_baseline/, envelopes_rs/   inputs for the linear decoder
     features/w{size}/{train,validation,test}.{json,f32}   tensor caches (CNN only)
     runs/w{size}/seed{k}/   checkpoints and training history
-    eval/, baseline_eval/   per-seed and per-subject metrics fragments
+    eval/, baseline_eval/   per-seed and per-subject metrics fragments;
+                  baseline_eval/ also holds the decoders and decoders.csv
     report/       metrics.csv, report.md, paired_tests.csv
 
 Every stage writes to temporary directories that replace its targets only
@@ -31,6 +32,7 @@ import numpy as np
 from .baseline import (
     LAMBDA_GRID,
     Envelope,
+    WindowSet,
     add_envelope_mixture,
     decide_attention,
     load_envelope,
@@ -39,10 +41,10 @@ from .baseline import (
     save_envelope,
     select_lambda,
     synth_envelope,
+    train_weights,
 )
 from .data import (
     LABEL_INDEX,
-    LEFT,
     Montage,
     RawRecording,
     SynthConfig,
@@ -83,6 +85,9 @@ from .preprocess import PreprocConfig, preprocess_recording, resample_series
 METRICS_HEADER = "model,window_s,subject,accuracy"
 METRICS_SEED_HEADER = "model,window_s,seed,subject,accuracy"
 PAIRED_HEADER = "model_a,model_b,window_s,t,p,df,degenerate"
+DECODERS_HEADER = (
+    "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
+)
 
 
 class ConfigError(ValueError):
@@ -186,6 +191,16 @@ class PipelineConfig:
                     f"features.band {self.features.band} must satisfy "
                     f"0 < low < high < target_rate / 2 = {self.target_rate / 2:g}"
                 )
+            if "cnn" in self.models:
+                k = self.features.sub_windows
+                for ws in self.window_sizes_s:
+                    w = _round_half_up(ws * self.target_rate)
+                    if k < 1 or w % k != 0 or w // k < 2:
+                        raise ValueError(
+                            f"window of {ws:g} s is {w} samples at {self.target_rate:g} Hz "
+                            f"and does not divide into features.sub_windows = {k} "
+                            f"sub-windows of >= 2 samples"
+                        )
             self.preproc_config().validate()
             self.cnn.validate()
             self.train.validate()
@@ -508,7 +523,8 @@ def short_linear_windows(cfg: PipelineConfig) -> dict[float, str]:
 
 
 def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
-    """Fit and evaluate the per-subject linear decoders."""
+    """Fit and evaluate the per-subject linear decoders, and record each
+    decoder's lambda, validation accuracy and training rows in decoders.csv."""
     if "linear" not in cfg.models:
         return
     recs = _load_preprocessed(out_dir, "preprocessed_baseline")
@@ -516,46 +532,42 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
     short = short_linear_windows(cfg)
     for ws, why in short.items():
         print(f"baseline: skipping linear at {ws:g} s windows ({why})", file=sys.stderr)
-    rows = []
+    rows, choices = [], []
     with stage_output(out_dir, "baseline_eval") as (tmp,):
         dec_dir = tmp / "decoders"
         dec_dir.mkdir()
         for rec in recs:
-            env = {
-                side: load_envelope(out_dir / "envelopes_rs" / f"{rec.subject_id}.{side}")
+            env_l, env_r = (
+                load_envelope(out_dir / "envelopes_rs" / f"{rec.subject_id}.{side}").samples
                 for side in ("left", "right")
-            }
+            )
+            eeg = rec.data.astype(float)
             for ws in cfg.window_sizes_s:
                 if ws in short:
                     continue
                 split = build_split(cfg, [rec], ws)
-
-                def seg(win, side):
-                    _, start = win.origin
-                    return env[side].samples[start : start + win.length]
-
-                def att(win):
-                    return seg(win, "left" if win.label == LEFT else "right")
-
-                train_pairs = [(w.samples, att(w)) for w in split.train]
-                val_tuples = [
-                    (w.samples, seg(w, "left"), seg(w, "right"), w.label)
-                    for w in split.validation
-                ]
-                decoder, _ = select_lambda(
-                    train_pairs, val_tuples, n_lags, tuple(cfg.baseline.lambda_grid)
+                train = WindowSet.of(split.train)
+                m, y = train_weights(train, env_l, env_r, n_lags)
+                val = (env_l, env_r, WindowSet.of(split.validation))
+                decoder, val_acc = select_lambda(
+                    (eeg, m, y), val, n_lags, tuple(cfg.baseline.lambda_grid)
                 )
-                hits = 0
-                for w in split.test:
-                    s_hat = reconstruct(decoder, w.samples)
-                    d = decide_attention(
-                        s_hat, seg(w, "left")[: len(s_hat)], seg(w, "right")[: len(s_hat)]
-                    )
-                    hits += d.label == w.label
-                acc = hits / len(split.test)
+                test = WindowSet.of(split.test)
+                test_rows = test.rows(n_lags)
+                s_hat = reconstruct(decoder, eeg)
+                d = decide_attention(s_hat[test_rows], env_l[test_rows], env_r[test_rows])
+                acc = int(np.sum(d.label == test.labels)) / len(test.labels)
                 rows.append(("linear", ws, cfg.seeds.base, rec.subject_id, acc))
+                choices.append(
+                    (rec.subject_id, ws, decoder.ridge_lambda, val_acc, len(train.labels),
+                     int(np.count_nonzero(m)), int(m.sum()))
+                )
                 save_decoder(decoder, dec_dir / f"{rec.subject_id}.{_ws_tag(ws)}")
         _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
+        lines = [DECODERS_HEADER]
+        for subj, ws, lam, val_acc, n_win, distinct, weighted in sorted(choices):
+            lines.append(f"{subj},{ws!r},{lam!r},{val_acc!r},{n_win},{distinct},{weighted}")
+        atomic_write_text(tmp / "decoders.csv", "\n".join(lines) + "\n")
 
 
 def _write_seed_metrics(path: Path, rows: list[tuple]) -> None:

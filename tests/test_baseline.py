@@ -1,9 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from asad import baseline
 from asad.baseline import (
+    ROW_CHUNK,
     Envelope,
     LinearDecoder,
+    WindowSet,
+    _lagged_design,
+    accumulate_covariances,
     decide_attention,
     fit_decoder,
     fit_decoder_segments,
@@ -13,7 +19,9 @@ from asad.baseline import (
     reconstruct,
     save_decoder,
     save_envelope,
+    select_lambda,
     synth_envelope,
+    train_weights,
 )
 from asad.data import LEFT, RIGHT
 
@@ -198,3 +206,121 @@ def test_accuracy_grows_with_window_length():
         )
         accs.append(hits / len(held))
     assert accs[0] < accs[1] < accs[2], accs
+
+
+# ---------------------------------------------------------------------------
+# Distinct-row fit: weighted covariances, whole-recording reconstruction
+# ---------------------------------------------------------------------------
+
+def _trial_windows(trials, length, overlap, keep):
+    """WindowSet of the windows of `length` samples, at the given overlap,
+    inside each (start, end, label) trial; `keep[i]` drops window i."""
+    hop = max(1, round(length * (1 - overlap)))
+    starts, labels = [], []
+    for start, end, label in trials:
+        for s0 in range(start, end - length + 1, hop):
+            starts.append(s0)
+            labels.append(label)
+    picked = [i for i in range(len(starts)) if keep[i % len(keep)]] or [0]
+    return WindowSet(np.array(starts)[picked], length, np.array(labels)[picked])
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    overlap=st.sampled_from([0.0, 0.5, 0.75]),
+    n_lags=st.integers(1, 6),
+    length=st.integers(8, 700),
+    gaps=st.lists(st.integers(0, 60), min_size=1, max_size=3),
+    trial_len=st.integers(700, 1600),
+    keep=st.lists(st.booleans(), min_size=1, max_size=7),
+    seed=st.integers(0, 2**16),
+)
+def test_weighted_covariances_equal_per_window_sum(
+    overlap, n_lags, length, gaps, trial_len, keep, seed
+):
+    rng = np.random.default_rng(seed)
+    trials, t = [], 0
+    for i, gap in enumerate(gaps):
+        t += gap
+        trials.append((t, t + trial_len, LEFT if i % 2 == 0 else RIGHT))
+        t += trial_len
+    eeg = rng.normal(size=(2, t + 5))
+    env_l, env_r = np.abs(rng.normal(size=(2, t + 5)))
+    wins = _trial_windows(trials, length, overlap, keep)
+    m, y = train_weights(wins, env_l, env_r, n_lags)
+    r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+
+    # reference: one lagged design and Gram matrix per window
+    ref_auto = np.zeros_like(r_auto)
+    ref_cross = np.zeros_like(r_cross)
+    for s0, label in zip(wins.starts, wins.labels):
+        x = _lagged_design(eeg[:, s0 : s0 + length], n_lags)
+        env = env_l if label == LEFT else env_r
+        ref_auto += x.T @ x
+        ref_cross += x.T @ env[s0 : s0 + len(x)]
+    assert np.max(np.abs(r_auto - ref_auto)) <= 1e-12 * np.max(np.abs(ref_auto))
+    assert np.max(np.abs(r_cross - ref_cross)) <= 1e-12 * np.max(np.abs(ref_cross))
+
+
+def test_covariance_designs_stay_within_row_chunk(rng, monkeypatch):
+    calls = []
+
+    def recording_design(eeg, n_lags):
+        x = _lagged_design(eeg, n_lags)
+        calls.append(x.shape[0])
+        return x
+
+    monkeypatch.setattr(baseline, "_lagged_design", recording_design)
+    n_lags, t = 4, 3 * ROW_CHUNK + 200
+    eeg = rng.normal(size=(2, t))
+    m = np.zeros(t)
+    m[5 : 3 * ROW_CHUNK + 50] = 2.0  # one run longer than three chunks
+    m[3 * ROW_CHUNK + 80 : t - n_lags + 1] = 1.0
+    accumulate_covariances(eeg, m, np.abs(rng.normal(size=t)), n_lags)
+    assert max(calls) <= ROW_CHUNK
+    assert sum(calls) == np.count_nonzero(m)
+
+
+def test_whole_recording_reconstruction_sliced_equals_per_window(rng):
+    eeg = rng.normal(size=(5, 3000))
+    dec = LinearDecoder(weights=rng.normal(size=(5, 19)), lags=np.arange(19), ridge_lambda=1.0)
+    wins = WindowSet(np.array([0, 35, 700, 2930]), 70, np.array([LEFT, RIGHT, LEFT, RIGHT]))
+    whole = reconstruct(dec, eeg)
+    assert len(whole) == 3000 - 18
+    sliced = whole[wins.rows(19)]
+    for row, s0 in zip(sliced, wins.starts):
+        per_window = reconstruct(dec, eeg[:, s0 : s0 + 70])
+        assert np.max(np.abs(row - per_window)) <= 1e-12 * np.max(np.abs(per_window))
+
+
+def test_batched_decisions_equal_one_window_at_a_time(rng):
+    s_hat = rng.normal(size=(6, 50))
+    env_l, env_r = np.abs(rng.normal(size=(2, 6, 50)))
+    env_r[2] = env_l[2]  # an exact tie goes Left
+    d = decide_attention(s_hat, env_l, env_r)
+    for i in range(6):
+        one = decide_attention(s_hat[i], env_l[i], env_r[i])
+        assert d.label[i] == one.label and d.tie[i] == one.tie
+        assert d.r_left[i] == pytest.approx(one.r_left, abs=1e-14)
+    assert d.label[2] == LEFT and d.tie[2] and d.tie.sum() == 1
+
+
+def test_select_lambda_skips_singular_lambda_zero(rng):
+    n = 4000
+    env_l = synth_envelope(n, 70.0, "l", np.random.default_rng(1)).samples
+    env_r = synth_envelope(n, 70.0, "r", np.random.default_rng(2)).samples
+    eeg = rng.normal(size=(3, n))
+    eeg[0] += np.concatenate([np.zeros(2), env_l[:-2]])  # tracks the left envelope
+    eeg[2] = 0.0  # an all-zero channel makes the lambda = 0 system singular
+    trials = [(0, 2000, LEFT), (2000, 4000, LEFT)]
+    train = _trial_windows([trials[0]], 140, 0.5, [True])
+    val = _trial_windows([trials[1]], 140, 0.5, [True])
+    m, y = train_weights(train, env_l, env_r, 5)
+    with pytest.raises(ValueError, match="singular"):
+        fit_decoder_segments(
+            [(eeg[:, s : s + 140], env_l[s : s + 140]) for s in train.starts], 5, 0.0
+        )
+    dec, acc = select_lambda((eeg, m, y), (env_l, env_r, val), 5, (0.0, 1.0))
+    assert dec.ridge_lambda == 1.0 and acc > 0.5
+    with pytest.raises(ValueError, match="no lambda"):
+        select_lambda((eeg, m, y), (env_l, env_r, val), 5, (0.0,))

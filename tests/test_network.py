@@ -416,3 +416,55 @@ def test_training_hash_same_for_one_and_two_blas_threads():
         )
         digests.append(res.stdout.strip())
     assert len(digests[0]) == 64 and digests[0] == digests[1]
+
+
+# ---------------------------------------------------------------------------
+# parameter checks at the entry points, finiteness checks during training
+# ---------------------------------------------------------------------------
+
+def _nan_params(cfg, rng):
+    params = init_params(cfg, rng)
+    params["fc1_w"][3, 5] = np.nan
+    return params
+
+
+def test_nan_parameter_rejected_by_train_arrays(monkeypatch):
+    from asad import network
+
+    monkeypatch.setattr(network, "init_params", lambda cfg, rng: _nan_params(cfg, rng))
+    x, y = _blob_data(TINY, 32, seed=1)
+    with pytest.raises(FloatingPointError, match="fc1_w"):
+        train_arrays(TINY, TrainConfig(max_epochs=1, batch_size=16), x[:16], y[:16], x[16:], y[16:])
+
+
+def test_nan_parameter_rejected_by_load_checkpoint(tmp_path, rng):
+    save_checkpoint(Checkpoint(TINY, init_params(TINY, rng), TrainConfig(), 0, 0.5), tmp_path / "c")
+    payload = np.fromfile(tmp_path / "c.f32", dtype="<f4")
+    payload[-1] = np.nan  # out_b, the last tensor
+    payload.tofile(tmp_path / "c.f32")
+    with pytest.raises(FloatingPointError, match="out_b"):
+        load_checkpoint(tmp_path / "c")
+
+
+def test_nan_parameter_rejected_by_evaluate_features(rng):
+    ckpt = Checkpoint(TINY, _nan_params(TINY, rng), TrainConfig(), 0, 0.5)
+    x, y = _blob_data(TINY, 8, seed=2)
+    with pytest.raises(FloatingPointError, match="fc1_w"):
+        evaluate_features(ckpt, x, y, ["s"] * 8)
+
+
+def test_nan_gradient_during_training_diverges(monkeypatch):
+    # finite parameters and logits, but the backward pass yields a NaN
+    from asad import network
+
+    real_adjoint = network._pool_adjoint
+
+    def nan_adjoint(dpooled, relu):
+        out = real_adjoint(dpooled, relu)
+        out.flat[0] = np.nan
+        return out
+
+    monkeypatch.setattr(network, "_pool_adjoint", nan_adjoint)
+    x, y = _blob_data(TINY, 32, seed=3)
+    with pytest.raises(TrainingDiverged, match="gradient norm nan"):
+        train_arrays(TINY, TrainConfig(max_epochs=1, batch_size=16), x[:16], y[:16], x[16:], y[16:])

@@ -114,7 +114,7 @@ def test_rerun_byte_identical(tiny_workspace, tmp_path):
     for rel in (
         "report/metrics.csv", "report/report.md", "report/paired_tests.csv",
         "runs/w1/seed7/checkpoint.f32", "runs/w1/seed7/checkpoint.json",
-        "runs/w1/seed7/history.csv", "features/w1/train.f32",
+        "runs/w1/seed7/history.csv", "features/w1/train.f32", "baseline_eval/decoders.csv",
     ):
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
@@ -265,3 +265,39 @@ def test_short_linear_window_named_in_report_and_stderr(tmp_path, capsys):
     assert "- linear at 0.1 s windows: 7 samples, fewer than 19 lags + 3" in report
     rows = (out / "report" / "metrics.csv").read_text().splitlines()[1:]
     assert rows and all(r.startswith("linear,1.0,") for r in rows)
+
+
+def test_sub_windows_that_do_not_split_the_window_exit_2_before_any_stage(tmp_path, capsys):
+    # 1 s at 70 Hz is 70 samples, which 3 sub-windows do not divide
+    p = _write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out), "--set", "features.sub_windows=3"])
+    assert code == 2
+    assert "features.sub_windows = 3" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    # the CNN's feature options do not constrain a linear-only run
+    config_from_dict({**TINY, "models": ["linear"], "features": {"sub_windows": 3}})
+
+
+def test_decoders_csv_counts_match_split(tiny_workspace):
+    cfg_path, out = tiny_workspace
+    cfg = load_config(cfg_path)
+    n_lags = pipeline._n_lags(cfg)
+    lines = (out / "baseline_eval" / "decoders.csv").read_text().splitlines()
+    assert lines[0] == (
+        "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
+    )
+    rows = [line.split(",") for line in lines[1:]]
+    recs = pipeline._load_preprocessed(out, "preprocessed_baseline")
+    assert [r[0] for r in rows] == [rec.subject_id for rec in recs]
+    for (subj, ws, lam, val_acc, n_win, distinct, weighted), rec in zip(rows, recs):
+        split = pipeline.build_split(cfg, [rec], float(ws))
+        starts = [w.origin[1] for w in split.train]
+        per_window = split.train[0].length - n_lags + 1
+        assert int(n_win) == len(split.train)
+        assert int(weighted) == len(starts) * per_window
+        assert int(distinct) == len({s + i for s in starts for i in range(per_window)})
+        assert int(distinct) < int(weighted)  # 50 % overlap shares rows
+        header = json.loads((out / "baseline_eval" / "decoders" / f"{subj}.w1.json").read_text())
+        assert float(lam) == header["ridge_lambda"] and float(lam) in cfg.baseline.lambda_grid
+        assert 0.0 <= float(val_acc) <= 1.0
