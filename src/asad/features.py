@@ -1,8 +1,10 @@
 """Spectro-spatial feature maps.
 
 A decision window becomes a stack of 32x32 topographic images: per-channel
-alpha-band power (FFT of the zero-padded segment, mean of |X|^2 / W^2 over
+alpha-band power (DFT of the zero-padded segment, mean of |X|^2 / W^2 over
 the in-band bins) is interpolated over the projected electrode layout.
+Windows are processed in batches: band power and the unclamped map are
+matrix products over the batch.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .data import (
-    DecisionWindow,
     LABELS,
     atomic_write_text,
     read_header,
@@ -32,23 +33,20 @@ class SsfMap:
     extent: tuple[float, float, float, float]
 
 
-@dataclass
-class SsfTensor:
-    maps: np.ndarray  # (S, grid_n, grid_n)
-    label: str
-
-    @property
-    def sub_windows(self) -> int:
-        return self.maps.shape[0]
-
-
 def fft_length(n_samples: int) -> int:
     """Zero-pad target: max(W, 128) rounded up to a power of two."""
-    target = max(MIN_FFT, int(n_samples))
-    n = 1
-    while n < target:
-        n <<= 1
-    return n
+    return max(MIN_FFT, 1 << (int(n_samples) - 1).bit_length())
+
+
+def band_bins(n_samples: int, fs: float, band: tuple[float, float]) -> tuple[int, np.ndarray]:
+    """(nfft, k): the zero-pad length of an `n_samples` segment and the
+    indices of the DFT bins with low <= k * fs / nfft <= high."""
+    nfft = fft_length(n_samples)
+    freqs = np.arange(nfft // 2 + 1) * fs / nfft
+    bins = np.flatnonzero((freqs >= band[0]) & (freqs <= band[1]))
+    if not bins.size:
+        raise ValueError(f"no FFT bin inside band {band} at fs={fs} with nfft={nfft}")
+    return nfft, bins
 
 
 def band_power(
@@ -58,35 +56,33 @@ def band_power(
 
     Parameters
     ----------
-    segment : (n_channels, W) array
+    segment : (..., n_channels, W) array
     fs : sampling rate in Hz
     band : inclusive (low, high) edges in Hz
 
     Returns
     -------
-    (n_channels,) non-negative power vector: mean over FFT bins with
+    (..., n_channels) non-negative power: mean over FFT bins with
     low <= f_k <= high of |X_k|^2 / W^2, where X is the DFT of the
     segment zero-padded to max(W, 128) rounded up to a power of two.
+    Only the in-band DFT rows are formed, as one cos and one sin product.
     """
     seg = np.asarray(segment, dtype=float)
-    if seg.ndim != 2 or seg.shape[1] < 2:
-        raise ValueError("segment must be (n_channels, W) with W >= 2")
-    low, high = band
-    if not (0 < low < high < fs / 2):
+    if seg.ndim < 2 or seg.shape[-1] < 2:
+        raise ValueError("segment must be (..., n_channels, W) with W >= 2")
+    if not (0 < band[0] < band[1] < fs / 2):
         raise ValueError(f"band {band} invalid at fs={fs}")
-    w = seg.shape[1]
-    nfft = fft_length(w)
-    freqs = np.arange(nfft // 2 + 1) * fs / nfft
-    in_band = (freqs >= low) & (freqs <= high)
-    if not in_band.any():
-        raise ValueError(f"no FFT bin inside band {band} at fs={fs} with nfft={nfft}")
-    spec = np.fft.rfft(seg, n=nfft, axis=1)
-    power = np.abs(spec[:, in_band]) ** 2 / (w * w)
-    return power.mean(axis=1)
+    w = seg.shape[-1]
+    nfft, bins = band_bins(w, fs, band)
+    # n * k reduced mod nfft keeps the phase in [0, 2 pi)
+    phase = (2.0 * np.pi / nfft) * (np.outer(np.arange(w), bins) % nfft)
+    re = seg @ np.cos(phase)
+    im = seg @ np.sin(phase)
+    return ((re * re + im * im) / (w * w)).mean(axis=-1)
 
 
 def extract_ssf(
-    window: DecisionWindow,
+    segments: np.ndarray,
     layout: ProjectedLayout,
     fs: float,
     band: tuple[float, float] = (8.0, 13.0),
@@ -94,29 +90,29 @@ def extract_ssf(
     grid_n: int = 32,
     log_power: bool = False,
     clamp_gradients: bool = False,
-) -> SsfTensor:
-    """Split the window into equal consecutive sub-windows and build one
-    power map per sub-window, stacked in time order."""
+) -> np.ndarray:
+    """(N, S, grid_n, grid_n) maps of N windows (N, n_channels, W): each
+    window splits into S equal consecutive sub-windows, one power map per
+    sub-window, in time order."""
+    segs = np.asarray(segments, dtype=float)
+    if segs.ndim != 3:
+        raise ValueError("segments must be (N, n_channels, W)")
     if sub_windows < 1:
         raise ValueError("sub_windows must be >= 1")
-    w = window.length
+    n, c, w = segs.shape
     if w % sub_windows != 0 or w // sub_windows < 2:
         raise ValueError(
             f"window of {w} samples does not divide into {sub_windows} "
             f"sub-windows of >= 2 samples"
         )
-    step = w // sub_windows
-    ct = interpolator(layout, clamp_gradients)
-    maps = np.empty((sub_windows, grid_n, grid_n))
-    for s in range(sub_windows):
-        seg = window.samples[:, s * step : (s + 1) * step]
-        values = band_power(seg, fs, band)
-        if log_power:
-            values = np.log1p(values)
-        maps[s] = ct.grid(values, grid_n, fill=0.0)
+    subs = segs.reshape(n, c, sub_windows, w // sub_windows).transpose(0, 2, 1, 3)
+    values = band_power(subs, fs, band)  # (N, S, C)
+    if log_power:
+        values = np.log1p(values)
+    maps = interpolator(layout, clamp_gradients).grid(values, grid_n, fill=0.0)
     if not np.all(np.isfinite(maps)):
         raise ValueError("interpolated map contains non-finite cells")
-    return SsfTensor(maps=maps, label=window.label)
+    return maps
 
 
 # ---------------------------------------------------------------------------
@@ -124,31 +120,24 @@ def extract_ssf(
 # ---------------------------------------------------------------------------
 
 def save_tensor_cache(
-    tensors: list[SsfTensor],
+    maps: np.ndarray,
+    labels: list[str],
     subjects: list[str],
     extent: tuple[float, float, float, float],
     path: str | Path,
 ) -> Path:
-    """Header JSON + float32 blob, window-major. Returns the header path."""
-    if len(tensors) != len(subjects):
-        raise ValueError("one subject id per tensor required")
-    if not tensors:
-        raise ValueError("empty tensor cache")
-    s = tensors[0].sub_windows
-    grid_n = tensors[0].maps.shape[1]
-    for t in tensors:
-        if t.maps.shape != (s, grid_n, grid_n):
-            raise ValueError("tensors in one cache must share a shape")
-        if t.label not in LABELS:
-            raise ValueError(f"bad label {t.label!r}")
-    header = {
-        "S": s,
-        "grid_n": grid_n,
-        "extent": [float(v) for v in extent],
-        "labels": [t.label for t in tensors],
-        "subjects": list(subjects),
-    }
-    return write_container(path, "tensor_cache", header, np.stack([t.maps for t in tensors]))
+    """Header JSON + float32 blob of maps (N, S, grid_n, grid_n), window-major.
+    Returns the header path."""
+    if maps.ndim != 4 or maps.shape[2] != maps.shape[3] or not len(maps):
+        raise ValueError("maps must be a non-empty (N, S, grid_n, grid_n) array")
+    if not len(maps) == len(labels) == len(subjects):
+        raise ValueError("one label and one subject id per window required")
+    if not set(labels) <= set(LABELS):
+        raise ValueError(f"bad label(s) {sorted(set(labels) - set(LABELS))}")
+    _, s, grid_n, _ = maps.shape
+    header = {"S": s, "grid_n": grid_n, "extent": [float(v) for v in extent],
+              "labels": list(labels), "subjects": list(subjects)}
+    return write_container(path, "tensor_cache", header, maps)
 
 
 def load_tensor_cache(path: str | Path) -> tuple[np.ndarray, list[str], list[str], dict]:

@@ -45,6 +45,16 @@ _TRINOMIAL = np.array([1, 1, 1, 3, 3, 3, 3, 3, 3, 6], dtype=float)
 _PATCH_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
+def _neighbors(layout: ProjectedLayout) -> list[list[int]]:
+    """Sorted triangulation neighbors of each point."""
+    nbrs: list[set[int]] = [set() for _ in layout.points]
+    for a, b, c in layout.triangles:
+        nbrs[a].update((b, c))
+        nbrs[b].update((a, c))
+        nbrs[c].update((a, b))
+    return [sorted(js) for js in nbrs]
+
+
 def gradient_operator(layout: ProjectedLayout) -> np.ndarray:
     """(n, 2, n) tensor G with gradients[i] = G[i] @ values.
 
@@ -52,15 +62,8 @@ def gradient_operator(layout: ProjectedLayout) -> np.ndarray:
     values[j] - values[i] ~= g . (p_j - p_i) over i's neighbors.
     """
     pts = layout.points
-    n = len(pts)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b, c in layout.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    op = np.zeros((n, 2, n))
-    for i in range(n):
-        js = sorted(nbrs[i])
+    op = np.zeros((len(pts), 2, len(pts)))
+    for i, js in enumerate(_neighbors(layout)):
         d = pts[js] - pts[i]
         w = 1.0 / np.sum(d * d, axis=1)
         a_mat = (w[:, None] * d).T @ d
@@ -101,18 +104,12 @@ def _build_geometry(layout: ProjectedLayout) -> _Geometry:
         # direction barycentrics: n = a_i (Vi - V0) + a_j (Vj - V0), a_0 = -a_i-a_j
         basis = np.stack([vi - centers, vj - centers], axis=-1)  # (m,2,2)
         ab = np.linalg.solve(basis, nrm[..., None])[..., 0]  # (m,2)
-        normal_coef[:, p_idx, 0] = ab[:, 0]
-        normal_coef[:, p_idx, 1] = ab[:, 1]
-        normal_coef[:, p_idx, 2] = -ab[:, 0] - ab[:, 1]
+        normal_coef[:, p_idx] = np.column_stack([ab[:, 0], ab[:, 1], -ab[:, 0] - ab[:, 1]])
     return _Geometry(inv_t=inv_t, v3=v3, centers=centers, normal_coef=normal_coef)
 
 
 def _patch_ordinates(
-    layout: ProjectedLayout,
-    geom: _Geometry,
-    values: np.ndarray,
-    gradients: np.ndarray,
-    clamp: bool,
+    layout: ProjectedLayout, geom: _Geometry, values: np.ndarray, gradients: np.ndarray, clamp: bool
 ) -> np.ndarray:
     """(m, 3, 10) Bezier ordinates for every (triangle, outer patch)."""
     tris = layout.triangles
@@ -127,40 +124,21 @@ def _patch_ordinates(
         "mkd,mkld->mkl", g, v3[:, None, :, :] - v3[:, :, None, :]
     ) / 3.0
 
-    m = len(tris)
-    ords = np.zeros((m, 3, 10))
-    b111 = np.zeros((m, 3))
-    for p_idx, (li, lj) in enumerate(_PATCH_EDGES):
-        a_i = geom.normal_coef[:, p_idx, 0]
-        a_j = geom.normal_coef[:, p_idx, 1]
-        a_0 = geom.normal_coef[:, p_idx, 2]
-        fi, fj = f[:, li], f[:, lj]
-        cij, cji = c_edge[:, li, lj], c_edge[:, lj, li]
-        si, sj = s[:, li], s[:, lj]
-        b111[:, p_idx] = (
-            0.5 * (a_i * (fi + cji) + a_j * (cij + fj) + a_0 * (si + sj))
-            - a_i * cij
-            - a_j * cji
-        ) / a_0
+    # per outer patch p: its edge (Vi, Vj) = _PATCH_EDGES[p], columns indexed by p
+    li, lj = np.array(_PATCH_EDGES).T
+    a_i, a_j, a_0 = np.moveaxis(geom.normal_coef, 2, 0)
+    fi, fj, si, sj = f[:, li], f[:, lj], s[:, li], s[:, lj]
+    cij, cji = c_edge[:, li, lj], c_edge[:, lj, li]
+    b111 = (
+        0.5 * (a_i * (fi + cji) + a_j * (cij + fj) + a_0 * (si + sj))
+        - a_i * cij
+        - a_j * cji
+    ) / a_0
 
     # internal-edge ordinates and the shared center value
-    r = np.zeros((m, 3))
-    r[:, 0] = (b111[:, 0] + b111[:, 2] + s[:, 0]) / 3.0
-    r[:, 1] = (b111[:, 0] + b111[:, 1] + s[:, 1]) / 3.0
-    r[:, 2] = (b111[:, 1] + b111[:, 2] + s[:, 2]) / 3.0
-    center = r.mean(axis=1)
-
-    for p_idx, (li, lj) in enumerate(_PATCH_EDGES):
-        ords[:, p_idx, 0] = f[:, li]
-        ords[:, p_idx, 1] = f[:, lj]
-        ords[:, p_idx, 2] = center
-        ords[:, p_idx, 3] = c_edge[:, li, lj]
-        ords[:, p_idx, 4] = c_edge[:, lj, li]
-        ords[:, p_idx, 5] = s[:, li]
-        ords[:, p_idx, 6] = s[:, lj]
-        ords[:, p_idx, 7] = r[:, li]
-        ords[:, p_idx, 8] = r[:, lj]
-        ords[:, p_idx, 9] = b111[:, p_idx]
+    r = (b111[:, [0, 0, 1]] + b111[:, [2, 1, 2]] + s) / 3.0
+    center = np.broadcast_to(r.mean(axis=1)[:, None], fi.shape)
+    ords = np.stack([fi, fj, center, cij, cji, si, sj, r[:, li], r[:, lj], b111], axis=2)
 
     if clamp:
         lo = f.min(axis=1)[:, None, None]
@@ -175,15 +153,8 @@ def _clamped_gradients(
     """Scale each vertex gradient so edge/center ordinates stay inside the
     local neighbor value range."""
     pts = layout.points
-    n = len(pts)
-    nbrs: list[set[int]] = [set() for _ in range(n)]
-    for a, b, c in layout.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
     out = gradients.copy()
-    for i in range(n):
-        js = sorted(nbrs[i])
+    for i, js in enumerate(_neighbors(layout)):
         local = np.append(values[js], values[i])
         up = local.max() - values[i]
         down = values[i] - local.min()
@@ -191,9 +162,7 @@ def _clamped_gradients(
         dev = np.max(np.abs(d @ gradients[i])) / 3.0
         if dev <= 0:
             continue
-        limit = min(up, down)
-        scale = min(1.0, limit / dev)
-        out[i] *= scale
+        out[i] *= min(1.0, min(up, down) / dev)
     return out
 
 
@@ -210,21 +179,24 @@ class CloughTocher:
         """Containing triangle per query point (-1 outside) and barycentrics."""
         diff = query[:, None, :] - self.geom.v3[None, :, 2, :]  # (q, m, 2)
         lam12 = np.einsum("mde,qme->qmd", self.geom.inv_t, diff)
-        lam = np.concatenate(
-            [lam12, 1.0 - lam12.sum(axis=2, keepdims=True)], axis=2
-        )  # (q, m, 3)
+        lam = np.concatenate([lam12, 1.0 - lam12.sum(axis=2, keepdims=True)], axis=2)  # (q, m, 3)
         ok = np.all(lam >= -1e-12, axis=2)
         tri = np.where(ok.any(axis=1), ok.argmax(axis=1), -1)
         q_idx = np.arange(len(query))
         bary = lam[q_idx, np.maximum(tri, 0)]
         return tri, bary
 
-    def _ordinates(self, values: np.ndarray) -> np.ndarray:
+    def _check(self, values: np.ndarray) -> np.ndarray:
+        """Values as float, one per layout point on the last axis, all finite."""
         values = np.asarray(values, dtype=float)
-        if values.shape != (len(self.layout.points),):
+        if values.shape[-1:] != (len(self.layout.points),):
             raise ValueError("one value per layout point required")
         if not np.all(np.isfinite(values)):
             raise ValueError("non-finite interpolation value")
+        return values
+
+    def _ordinates(self, values: np.ndarray) -> np.ndarray:
+        values = self._check(values)
         grads = np.einsum("idn,n->id", self.grad_op, values)
         if self.clamp:
             grads = _clamped_gradients(self.layout, values, grads)
@@ -239,25 +211,27 @@ class CloughTocher:
         lj = np.array([e[1] for e in _PATCH_EDGES])[patch]
         lk = 3 - li - lj
         lam_k = bary[idx, lk]
-        mu = np.stack(
-            [bary[idx, li] - lam_k, bary[idx, lj] - lam_k, 3.0 * lam_k], axis=1
-        )
+        mu = np.stack([bary[idx, li] - lam_k, bary[idx, lj] - lam_k, 3.0 * lam_k], axis=1)
         mu = np.clip(mu, 0.0, None)
         powers = mu[:, None, :] ** _EXPONENTS[None, :, :]
         return _TRINOMIAL[None, :] * powers.prod(axis=2)  # (q, 10)
 
-    def evaluate(self, values: np.ndarray, query: np.ndarray, fill: float = 0.0) -> np.ndarray:
-        query = np.atleast_2d(np.asarray(query, dtype=float))
+    def _tables(self, query: np.ndarray) -> dict:
+        """Which query points lie inside the hull, and for those the
+        containing triangle, sub-patch and Bernstein basis row."""
         tri, bary = self._locate(query)
         inside = tri >= 0
+        # the containing sub-patch is opposite the smallest barycentric
+        patch = (np.argmin(bary[inside], axis=1) + 1) % 3
+        basis = self._basis(bary[inside], patch)
+        return {"inside": inside, "tri": tri[inside], "patch": patch, "basis": basis}
+
+    def evaluate(self, values: np.ndarray, query: np.ndarray, fill: float = 0.0) -> np.ndarray:
+        query = np.atleast_2d(np.asarray(query, dtype=float))
+        table = self._tables(query)
         out = np.full(len(query), fill, dtype=float)
-        if inside.any():
-            ords = self._ordinates(values)
-            # the containing sub-patch is opposite the smallest barycentric
-            patch = (np.argmin(bary[inside], axis=1) + 1) % 3
-            basis = self._basis(bary[inside], patch)
-            sel = ords[tri[inside], patch]  # (q_in, 10)
-            out[inside] = np.sum(sel * basis, axis=1)
+        if table["inside"].any():
+            out[table["inside"]] = _cell_values(self._ordinates(values), table)
         return out
 
     def grid_cache(self, grid_n: int) -> dict:
@@ -269,28 +243,44 @@ class CloughTocher:
             us = umin + (np.arange(grid_n) + 0.5) * (umax - umin) / grid_n
             vs = vmin + (np.arange(grid_n) + 0.5) * (vmax - vmin) / grid_n
             uu, vv = np.meshgrid(us, vs, indexing="xy")  # rows vary v, cols u
-            query = np.column_stack([uu.ravel(), vv.ravel()])
-            tri, bary = self._locate(query)
-            inside = tri >= 0
-            patch = (np.argmin(bary[inside], axis=1) + 1) % 3
-            self.layout._caches[key] = {
-                "inside": inside,
-                "tri": tri[inside],
-                "patch": patch,
-                "basis": self._basis(bary[inside], patch),
-                "shape": (grid_n, grid_n),
-            }
+            self.layout._caches[key] = self._tables(np.column_stack([uu.ravel(), vv.ravel()]))
+        return self.layout._caches[key]
+
+    def operator(self, grid_n: int) -> np.ndarray:
+        """(inside cells, n) matrix M of the unclamped map, which is linear
+        in the values: the inside cells are M @ values. Column j is the
+        Bezier evaluation of unit vector j; cached on the layout."""
+        key = ("operator", grid_n)
+        if key not in self.layout._caches:
+            table = self.grid_cache(grid_n)
+            unit = np.eye(len(self.layout.points))
+            self.layout._caches[key] = np.column_stack([
+                _cell_values(_patch_ordinates(self.layout, self.geom, e, g, False), table)
+                for e, g in zip(unit, self.grad_op.transpose(2, 0, 1))  # g = G @ e
+            ])
         return self.layout._caches[key]
 
     def grid(self, values: np.ndarray, grid_n: int, fill: float = 0.0) -> np.ndarray:
-        """(grid_n, grid_n) map over the layout extent; row index follows v,
-        column index follows u; cells outside the hull hold `fill`."""
+        """(..., grid_n, grid_n) maps of (..., n) values over the layout
+        extent; row index follows v, column index follows u; cells outside
+        the hull hold `fill`. The clamped mode is not linear in the values
+        and evaluates one map at a time."""
+        values = self._check(values)
+        batch = values.shape[:-1]
         cache = self.grid_cache(grid_n)
-        ords = self._ordinates(values)
-        flat = np.full(grid_n * grid_n, fill, dtype=float)
-        sel = ords[cache["tri"], cache["patch"]]
-        flat[cache["inside"]] = np.sum(sel * cache["basis"], axis=1)
-        return flat.reshape(cache["shape"])
+        out = np.full(batch + (grid_n * grid_n,), fill, dtype=float)
+        if self.clamp:
+            for idx in np.ndindex(batch):
+                out[idx][cache["inside"]] = _cell_values(self._ordinates(values[idx]), cache)
+        else:
+            out[..., cache["inside"]] = values @ self.operator(grid_n).T
+        return out.reshape(batch + (grid_n, grid_n))
+
+
+def _cell_values(ords: np.ndarray, table: dict) -> np.ndarray:
+    """Interpolated values at the inside points of a table, from the
+    (m, 3, 10) patch ordinates."""
+    return np.sum(ords[table["tri"], table["patch"]] * table["basis"], axis=1)
 
 
 def interpolator(layout: ProjectedLayout, clamp_gradients: bool = False) -> CloughTocher:

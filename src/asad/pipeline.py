@@ -63,13 +63,14 @@ from .data import (
 )
 from .features import (
     SsfMap,
+    band_bins,
     extract_ssf,
     load_tensor_cache,
     save_tensor_cache,
     write_map_csv,
     write_map_pgm,
 )
-from .geometry import project_electrodes
+from .geometry import ProjectedLayout, project_electrodes
 from .network import (
     CnnConfig,
     TrainConfig,
@@ -88,6 +89,7 @@ PAIRED_HEADER = "model_a,model_b,window_s,t,p,df,degenerate"
 DECODERS_HEADER = (
     "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
 )
+EXTRACT_CHUNK = 256  # windows per extract_ssf call; bounds extract's memory
 
 
 class ConfigError(ValueError):
@@ -185,11 +187,14 @@ class PipelineConfig:
         if not self.models:
             raise ConfigError("models must not be empty")
         try:
+            # the preprocessing band lies below target Nyquist, and the
+            # feature band must lie inside it
+            self.preproc_config().validate()
             low, high = self.features.band
-            if not (0 < low < high < self.target_rate / 2):
+            if not (self.band[0] <= low < high <= self.band[1]):
                 raise ValueError(
-                    f"features.band {self.features.band} must satisfy "
-                    f"0 < low < high < target_rate / 2 = {self.target_rate / 2:g}"
+                    f"features.band {self.features.band} must satisfy low < high and lie "
+                    f"inside the preprocessing band {self.band}"
                 )
             if "cnn" in self.models:
                 k = self.features.sub_windows
@@ -201,7 +206,7 @@ class PipelineConfig:
                             f"and does not divide into features.sub_windows = {k} "
                             f"sub-windows of >= 2 samples"
                         )
-            self.preproc_config().validate()
+                    band_bins(w // k, self.target_rate, self.features.band)
             self.cnn.validate()
             self.train.validate()
         except ValueError as exc:
@@ -440,12 +445,24 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
     )
 
 
+def extract_partition(
+    wins: list, layout: ProjectedLayout, fs: float, feat: FeatureSection
+) -> np.ndarray:
+    """Float32 (N, S, g, g) maps of one partition's windows, built
+    EXTRACT_CHUNK windows at a time: the float64 work does not grow with N."""
+    maps = np.empty((len(wins), feat.sub_windows, feat.grid_n, feat.grid_n), dtype=np.float32)
+    for lo in range(0, len(wins), EXTRACT_CHUNK):
+        batch = np.stack([w.samples for w in wins[lo : lo + EXTRACT_CHUNK]])
+        # the feature section's fields are extract_ssf's options
+        maps[lo : lo + len(batch)] = extract_ssf(batch, layout, fs, **asdict(feat))
+    return maps
+
+
 def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     """Split windows and cache one feature tensor file per partition/window size."""
     if "cnn" not in cfg.models:
         return
-    mont = resolve_montage(cfg)
-    layout = project_electrodes(mont)
+    layout = project_electrodes(resolve_montage(cfg))
     recs = _load_preprocessed(out_dir)
     feat = cfg.features
     with stage_output(out_dir, "features") as (tmp,):
@@ -454,11 +471,9 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             ws_dir = tmp / _ws_tag(ws)
             ws_dir.mkdir()
             for pname, wins in split.partitions().items():
-                # the feature section's fields are extract_ssf's options
-                tensors = [extract_ssf(w, layout, cfg.target_rate, **asdict(feat)) for w in wins]
-                save_tensor_cache(
-                    tensors, [w.subject_id for w in wins], layout.extent, ws_dir / pname
-                )
+                maps = extract_partition(wins, layout, cfg.target_rate, feat)
+                labels, subjects = [w.label for w in wins], [w.subject_id for w in wins]
+                save_tensor_cache(maps, labels, subjects, layout.extent, ws_dir / pname)
 
 
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -715,8 +730,9 @@ def dump_map(
             f"window index {window_index} out of range (have {len(windows)} windows)"
         )
     layout = project_electrodes(mont)
-    tensor = extract_ssf(windows[window_index], layout, rec.sample_rate, **asdict(cfg.features))
-    ssf_map = SsfMap(grid=tensor.maps[0], extent=layout.extent)
+    segment = windows[window_index].samples[None]
+    maps = extract_ssf(segment, layout, rec.sample_rate, **asdict(cfg.features))
+    ssf_map = SsfMap(grid=maps[0, 0], extent=layout.extent)
     prefix = Path(out_prefix)
     prefix.parent.mkdir(parents=True, exist_ok=True)
     pgm = Path(str(prefix) + ".pgm")

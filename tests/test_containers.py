@@ -25,7 +25,7 @@ from asad.data import (
     save_recording,
     write_container,
 )
-from asad.features import SsfTensor, load_tensor_cache, save_tensor_cache
+from asad.features import load_tensor_cache, save_tensor_cache
 from asad.network import (
     Checkpoint,
     CnnConfig,
@@ -87,8 +87,7 @@ def _write_each_kind(root: Path) -> dict[str, Path]:
     save_recording(make_recording(n_channels=3, n_samples=40), paths["recording"])
     save_envelope(Envelope(np.abs(rng.normal(size=20)), "spk", 70.0), paths["envelope"])
     save_decoder(LinearDecoder(rng.normal(size=(3, 4)), np.arange(4), 1.0), paths["decoder"])
-    tensors = [SsfTensor(rng.normal(size=(2, 4, 4)), "Left")]
-    save_tensor_cache(tensors, ["s0"], (0.0, 1.0, 0.0, 1.0), paths["cache"])
+    save_tensor_cache(rng.normal(size=(1, 2, 4, 4)), ["Left"], ["s0"], (0.0, 1.0, 0.0, 1.0), paths["cache"])
     ckpt = Checkpoint(TINY_CNN, init_params(TINY_CNN, rng), TrainConfig(), 0, 0.5)
     save_checkpoint(ckpt, paths["checkpoint"])
     return paths

@@ -1,10 +1,11 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from asad.data import DecisionWindow, LEFT, RIGHT
 from asad.features import (
     SsfMap,
-    SsfTensor,
     band_power,
     extract_ssf,
     fft_length,
@@ -14,6 +15,19 @@ from asad.features import (
     write_map_pgm,
 )
 from asad.geometry import project_electrodes
+from asad.interpolate import interpolator
+from asad.pipeline import (
+    EXTRACT_CHUNK,
+    FeatureSection,
+    _load_preprocessed,
+    build_split,
+    config_from_dict,
+    extract_partition,
+    resolve_montage,
+    stage_extract,
+    stage_preprocess,
+    stage_synth,
+)
 
 from conftest import make_random_montage
 
@@ -34,6 +48,12 @@ def naive_band_power(segment, fs, band):
             acc.append(abs(xk) ** 2 / (w * w))
         out[ci] = np.mean(acc)
     return out
+
+
+def extract_window(win, layout, **features):
+    """One window's maps and label, through the batched extract_ssf."""
+    maps = extract_ssf(win.samples[None], layout, **features)[0]
+    return SimpleNamespace(maps=maps, label=win.label)
 
 
 def test_zero_signal_zero_power():
@@ -75,7 +95,7 @@ def test_extract_single_map(rng):
     mont = make_random_montage(16, 0)
     layout = project_electrodes(mont)
     win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
-    t = extract_ssf(win, layout, fs=70.0)
+    t = extract_window(win, layout, fs=70.0)
     assert t.maps.shape == (1, 32, 32)
     assert t.label == LEFT
 
@@ -85,7 +105,7 @@ def test_extract_identical_halves(rng):
     layout = project_electrodes(mont)
     half = rng.normal(size=(16, 64))
     win = DecisionWindow("s", np.concatenate([half, half], axis=1), RIGHT, (0, 0))
-    t = extract_ssf(win, layout, fs=70.0, sub_windows=2)
+    t = extract_window(win, layout, fs=70.0, sub_windows=2)
     assert t.maps.shape == (2, 32, 32)
     assert np.max(np.abs(t.maps[0] - t.maps[1])) < 1e-9
 
@@ -95,15 +115,15 @@ def test_extract_bad_subdivision(rng):
     layout = project_electrodes(mont)
     win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
     with pytest.raises(ValueError, match="sub-windows"):
-        extract_ssf(win, layout, fs=70.0, sub_windows=3)  # 70 % 3 != 0
+        extract_window(win, layout, fs=70.0, sub_windows=3)  # 70 % 3 != 0
 
 
 def test_log_power_option(rng):
     mont = make_random_montage(16, 3)
     layout = project_electrodes(mont)
     win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
-    plain = extract_ssf(win, layout, fs=70.0)
-    logged = extract_ssf(win, layout, fs=70.0, log_power=True)
+    plain = extract_window(win, layout, fs=70.0)
+    logged = extract_window(win, layout, fs=70.0, log_power=True)
     assert not np.allclose(plain.maps, logged.maps)
 
 
@@ -122,8 +142,8 @@ def test_subwindow_maps_track_full_window():
         return DecisionWindow("s", sig, LEFT, (0, 0))
 
     def deviation(win):
-        subs = extract_ssf(win, layout, fs=70.0, sub_windows=10).maps
-        full = extract_ssf(win, layout, fs=70.0, sub_windows=1).maps[0]
+        subs = extract_window(win, layout, fs=70.0, sub_windows=10).maps
+        full = extract_window(win, layout, fs=70.0, sub_windows=1).maps[0]
         return float(np.max(np.abs(subs.mean(axis=0) - full)))
 
     bound = 1.2 * max(deviation(draw(1000 + i)) for i in range(200))
@@ -132,10 +152,13 @@ def test_subwindow_maps_track_full_window():
 
 def test_tensor_cache_roundtrip(tmp_path, rng):
     tensors = [
-        SsfTensor(maps=rng.normal(size=(2, 32, 32)).astype(np.float32), label=LEFT),
-        SsfTensor(maps=rng.normal(size=(2, 32, 32)).astype(np.float32), label=RIGHT),
+        SimpleNamespace(maps=rng.normal(size=(2, 32, 32)).astype(np.float32), label=LEFT),
+        SimpleNamespace(maps=rng.normal(size=(2, 32, 32)).astype(np.float32), label=RIGHT),
     ]
-    save_tensor_cache(tensors, ["s0", "s1"], (0.0, 1.0, 0.0, 1.0), tmp_path / "cache")
+    save_tensor_cache(
+        np.stack([t.maps for t in tensors]), [t.label for t in tensors], ["s0", "s1"],
+        (0.0, 1.0, 0.0, 1.0), tmp_path / "cache",
+    )
     maps, labels, subjects, header = load_tensor_cache(tmp_path / "cache")
     assert maps.shape == (2, 2, 32, 32)
     assert labels == [LEFT, RIGHT]
@@ -162,3 +185,68 @@ def test_map_csv_roundtrip(tmp_path, rng):
         [[float(x) for x in line.split(",")] for line in (tmp_path / "m.csv").read_text().splitlines()]
     )
     assert np.array_equal(back, grid)
+
+
+# ---------------------------------------------------------------------------
+# Batched band power and maps
+# ---------------------------------------------------------------------------
+
+def test_band_power_batch_matches_per_segment_and_naive(rng):
+    segs = rng.normal(size=(2, 3, 4, 14))
+    batched = band_power(segs, 70.0, (8, 13))
+    assert batched.shape == (2, 3, 4)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(batched[idx], band_power(segs[idx], 70.0, (8, 13)))
+        oracle = naive_band_power(segs[idx], 70.0, (8, 13))
+        assert np.max(np.abs(batched[idx] - oracle) / oracle) < 1e-10
+
+
+def test_extract_batch_equals_single_windows(rng):
+    layout = project_electrodes(make_random_montage(16, 6))
+    n = EXTRACT_CHUNK + 3
+    segs = rng.normal(size=(n, 16, 70))
+    maps = extract_ssf(segs, layout, fs=70.0, sub_windows=5)
+    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(segs)]
+    chunked = extract_partition(wins, layout, 70.0, FeatureSection(sub_windows=5))
+    assert maps.shape == chunked.shape == (n, 5, 32, 32)
+    for i in range(n):
+        single = extract_ssf(segs[i : i + 1], layout, fs=70.0, sub_windows=5)
+        assert np.array_equal(maps[i], single[0])
+        assert np.array_equal(chunked[i], single[0].astype(np.float32))
+
+
+def test_stage_extract_cache_matches_per_window_reference(tmp_path):
+    """The cache of one partition equals, after the float32 cast, maps built
+    one sub-window at a time from FFT band power and Bezier evaluation."""
+    cfg = config_from_dict({
+        "models": ["cnn"],
+        "synth": {"n_subjects": 1, "duration_s": 60.0, "n_channels": 32},
+        "montage": "builtin:biosemi32",
+        "split": {"block_s": 10.0},
+        "window_sizes_s": [1.0],
+        "features": {"sub_windows": 2},
+    })
+    stage_synth(cfg, tmp_path)
+    stage_preprocess(cfg, tmp_path)
+    stage_extract(cfg, tmp_path)
+    maps, labels, _, _ = load_tensor_cache(tmp_path / "features" / "w1" / "test")
+
+    layout = project_electrodes(resolve_montage(cfg))
+    ct = interpolator(layout)
+    umin, umax, vmin, vmax = layout.extent
+    us = umin + (np.arange(32) + 0.5) * (umax - umin) / 32
+    vs = vmin + (np.arange(32) + 0.5) * (vmax - vmin) / 32
+    uu, vv = np.meshgrid(us, vs, indexing="xy")
+    query = np.column_stack([uu.ravel(), vv.ravel()])
+    wins = build_split(cfg, _load_preprocessed(tmp_path), 1.0).test
+    assert labels == [w.label for w in wins]
+    nfft = fft_length(35)
+    freqs = np.arange(nfft // 2 + 1) * 70.0 / nfft
+    in_band = (freqs >= 8.0) & (freqs <= 13.0)
+    for i, win in enumerate(wins):
+        for s in range(2):
+            seg = np.asarray(win.samples[:, s * 35 : (s + 1) * 35], dtype=float)
+            spec = np.fft.rfft(seg, n=nfft, axis=1)
+            power = (np.abs(spec[:, in_band]) ** 2 / (35 * 35)).mean(axis=1)
+            ref = ct.evaluate(power, query, fill=0.0).reshape(32, 32)
+            assert np.array_equal(maps[i, s], ref.astype(np.float32)), (i, s)

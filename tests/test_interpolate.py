@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asad.data import Montage
 from asad.geometry import project_electrodes
@@ -108,5 +110,57 @@ def test_non_finite_values_rejected():
     ct = interpolator(layout)
     vals = np.zeros(16)
     vals[3] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        ct.grid(vals, 32)
+
+
+def _bezier_grid(ct, values, grid_n, fill):
+    """Per-map Bezier evaluation at the cell centers, `fill` outside the hull."""
+    uu, vv = _grid_points(ct.layout, grid_n)
+    query = np.column_stack([uu.ravel(), vv.ravel()])
+    return ct.evaluate(values, query, fill=fill).reshape(grid_n, grid_n)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(8, 40),
+    seed=st.integers(0, 10_000),
+    batch=st.sampled_from([(), (3,), (2, 3)]),
+    fill=st.sampled_from([0.0, -1.5]),
+)
+def test_operator_grid_matches_bezier_evaluation(n, seed, batch, fill):
+    ct = interpolator(project_electrodes(make_random_montage(n, seed)))
+    values = np.random.default_rng(seed).normal(size=batch + (n,))
+    grid = ct.grid(values, 32, fill=fill)
+    assert grid.shape == batch + (32, 32)
+    for idx in np.ndindex(batch):
+        ref = _bezier_grid(ct, values[idx], 32, fill)
+        assert np.max(np.abs(grid[idx] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_clamped_batch_equals_row_by_row(rng):
+    ct = interpolator(project_electrodes(make_random_montage(20, 12)), clamp_gradients=True)
+    values = rng.normal(size=(2, 3, 20)) ** 3
+    grid = ct.grid(values, 32)
+    for idx in np.ndindex(2, 3):
+        assert np.array_equal(grid[idx], ct.grid(values[idx], 32))
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_fill_lands_only_outside_hull(rng, clamp):
+    ct = interpolator(project_electrodes(make_random_montage(24, 13)), clamp_gradients=clamp)
+    inside = ct.grid_cache(32)["inside"].reshape(32, 32)
+    values = rng.normal(size=(4, 24))
+    plain = ct.grid(values, 32)
+    filled = ct.grid(values, 32, fill=7.5)
+    assert np.all(filled[:, ~inside] == 7.5)
+    assert np.array_equal(filled[:, inside], plain[:, inside])
+
+
+@pytest.mark.parametrize("clamp", [False, True])
+def test_non_finite_value_in_batch_rejected(clamp):
+    ct = interpolator(project_electrodes(make_random_montage(16, 11)), clamp_gradients=clamp)
+    vals = np.zeros((3, 16))
+    vals[2, 5] = np.inf
     with pytest.raises(ValueError, match="non-finite"):
         ct.grid(vals, 32)

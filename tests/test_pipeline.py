@@ -1,12 +1,24 @@
 import json
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from asad import pipeline
 from asad.cli import main
-from asad.pipeline import ConfigError, config_from_dict, load_config
+from asad.data import LEFT, DecisionWindow
+from asad.geometry import project_electrodes
+from asad.pipeline import (
+    EXTRACT_CHUNK,
+    ConfigError,
+    FeatureSection,
+    config_from_dict,
+    extract_partition,
+    load_config,
+)
+
+from conftest import make_random_montage
 
 TINY = {
     "models": ["cnn", "linear"],
@@ -215,6 +227,56 @@ def test_feature_band_above_nyquist_exits_2_before_any_stage(tmp_path):
     code = main(["run", "--config", str(p), "--out", str(out), "--set", "features.band=[30,40]"])
     assert code == 2
     assert not out.exists() or not any(out.iterdir())
+
+
+def test_feature_band_without_fft_bin_exits_2_before_any_stage(tmp_path):
+    # 1 s windows at 70 Hz pad to 128 bins of 0.547 Hz: 8.75 and 9.30 Hz
+    # straddle the band
+    p = _write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out), "--set", "features.band=[8.8,9.0]"])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(ConfigError, match=r"no FFT bin inside band \(8.8, 9.0\) at fs=70.0 with nfft=128"):
+        config_from_dict({**TINY, "features": {"band": [8.8, 9.0]}})
+    # the linear decoder alone never computes band power
+    config_from_dict({**TINY, "models": ["linear"], "features": {"band": [8.8, 9.0]}})
+
+
+def test_feature_band_outside_preprocessing_band_exits_2(tmp_path):
+    p = _write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out), "--set", "features.band=[7,12]"])
+    assert code == 2
+    assert not out.exists() or not any(out.iterdir())
+    with pytest.raises(ConfigError, match="inside the preprocessing band"):
+        config_from_dict({**TINY, "features": {"band": [9.0, 14.0]}})
+    # the c06 band lies inside the default preprocessing band
+    config_from_dict({**TINY, "features": {"band": [9.0, 11.0]}})
+    config_from_dict({**TINY, "features": {"band": [8.0, 13.0]}})
+
+
+def test_extract_memory_does_not_grow_with_windows(rng):
+    """Extract's traced peak, less the float32 payload it returns, stays the
+    same for 1x, 2x and 4x the windows: the float64 work is per chunk."""
+    layout = project_electrodes(make_random_montage(16, 21))
+    feat = FeatureSection(sub_windows=5)
+    base = rng.normal(size=(8 * EXTRACT_CHUNK, 16, 70))
+    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(base)]
+    extract_partition(wins[:1], layout, 70.0, feat)  # build the interpolator tables
+
+    def extra_bytes(n):
+        tracemalloc.start()
+        try:
+            maps = extract_partition(wins[:n], layout, 70.0, feat)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - maps.nbytes
+
+    one, two, four = (extra_bytes(k * 2 * EXTRACT_CHUNK) for k in (1, 2, 4))
+    assert two <= one + 2**20
+    assert four <= one + 2**20
 
 
 def _failing_save_envelope(*args, **kwargs):
