@@ -7,10 +7,11 @@ Ridge regression from time-lagged EEG to the speech envelope:
 solved from (R + lambda * mean(diag(R)) * I) w = r with R the lagged EEG
 autocovariance and r the EEG-envelope cross-covariance. Overlapping
 training windows share lagged rows, so R and r sum each distinct row once,
-weighted by the number of windows that hold it. Attention is decided per
-decision window by Pearson-correlating the reconstruction against the two
-candidate envelopes; the reconstruction is computed once per recording and
-sliced into windows.
+weighted by the number of windows that hold it; R is assembled from its
+channel x channel lag blocks, and each lambda > 0 is solved by Cholesky.
+Attention is decided per decision window by Pearson-correlating the
+reconstruction against the two candidate envelopes; the reconstruction is
+computed once per recording and sliced into windows.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy.linalg import cho_factor, cho_solve
 
 from .data import (
     LEFT,
@@ -34,9 +36,9 @@ from .data import (
 )
 
 LAMBDA_GRID = tuple(10.0 ** k for k in range(-3, 4))
-# lagged rows formed at a time by accumulate_covariances: the design block
-# stays small (2.4 MiB at 32 channels x 19 lags), so fitting adds little to
-# the peak memory of the baseline stage
+# lagged rows, and samples where the row weight steps, gathered at a time by
+# accumulate_covariances: each block stays small (2.4 MiB at 32 channels x
+# 19 lags), so fitting adds little to the peak memory of the baseline stage
 ROW_CHUNK = 512
 
 
@@ -132,10 +134,22 @@ def accumulate_covariances(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Lagged auto-/cross-covariances with the row at sample t weighted by
     m[t] >= 0: sum_t m[t] x_t x_t' and sum_t m[t] y[t] x_t, x_t holding
-    eeg[c, t + tau]. Each row is built once, whatever its weight: every run
-    of m > 0 is formed ROW_CHUNK rows at a time and scaled by sqrt(m)."""
+    eeg[c, t + tau].
+
+    R is built from its C x C lag blocks. Block (i, i + d) is
+    B_i[d] = sum_s m[s - i] e[s] e[s + d]', so the top block-row B_0 comes
+    from the distinct rows (every run of m > 0, formed ROW_CHUNK rows at a
+    time, each row once whatever its weight), and each next block-row is
+    B_i = B_{i-1} + sum_u D_u e[u + i] e[u + i + d]' over the K samples u
+    where the weight steps, D_u = m[u] - m[u + 1] != 0 (gathered ROW_CHUNK
+    at a time); the rest of R is its transpose. That is about
+    L C^2 rows + L^2 C^2 K / 2 multiply-adds instead of L^2 C^2 rows / 2.
+    Each training window adds at most two steps, so this costs more than a
+    Gram matrix of the rows only when windows start fewer than about 3
+    samples apart (measured at 32 channels and 19 lags, where a 2-sample
+    hop takes 1.4x as long)."""
     eeg, m, y = (np.asarray(a, dtype=float) for a in (eeg, m, y))
-    t = eeg.shape[1]
+    n_ch, t = eeg.shape
     if m.shape != (t,) or y.shape != (t,):
         raise ValueError("weights and target must hold one value per EEG sample")
     if np.any(m < 0):
@@ -147,32 +161,56 @@ def accumulate_covariances(
     edges = np.flatnonzero(active[1:] != active[:-1])  # run starts and ends alternate
     if len(edges) == 0:
         raise ValueError("no weighted rows")
-    dim = eeg.shape[0] * n_lags
-    r_auto, r_cross = np.zeros((dim, dim)), np.zeros(dim)
+    top, r_cross = np.zeros((n_ch, n_ch * n_lags)), np.zeros(n_ch * n_lags)
     for lo_run, hi_run in zip(edges[::2], edges[1::2]):
         for lo in range(lo_run, hi_run, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, hi_run)
             x = _lagged_design(eeg[:, lo : hi + n_lags - 1], n_lags)
-            root = np.sqrt(m[lo:hi])
-            x *= root[:, None]
-            r_auto += x.T @ x
-            r_cross += x.T @ (root * y[lo:hi])
-    return r_auto, r_cross
+            top += (eeg[:, lo:hi] * m[lo:hi]) @ x
+            r_cross += (m[lo:hi] * y[lo:hi]) @ x
+    # steps of the weight at rows u = -1 .. n_rows - 1 (m is 0 outside)
+    step = -np.diff(np.concatenate(([0.0], m[:n_rows], [0.0])))
+    u = np.flatnonzero(step) - 1
+    d_u = step[u + 1]
+    inc = np.zeros((n_lags, n_ch, n_lags, n_ch))  # B_i - B_{i-1}, as [i, c, d, c']
+    for lo in range(0, len(u), ROW_CHUNK):
+        uc, dc = u[lo : lo + ROW_CHUNK], d_u[lo : lo + ROW_CHUNK, None]
+        # e[u + j] for j = 1 .. n_lags - 1, as (steps, n_lags - 1, C)
+        at_steps = eeg[:, uc[:, None] + np.arange(1, n_lags)].transpose(1, 2, 0).copy()
+        for i in range(1, n_lags):
+            # sum_u D_u e[u + i] e[u + i + d]' for d < n_lags - i; the
+            # right-hand factor is a view of at_steps
+            lagged = at_steps[:, i - 1 :].reshape(len(uc), -1)
+            change = (at_steps[:, i - 1] * dc).T @ lagged
+            inc[i, :, : n_lags - i] += change.reshape(n_ch, n_lags - i, n_ch)
+    block = top.reshape(n_ch, n_ch, n_lags).transpose(0, 2, 1).copy()  # B_0 as [c, d, c']
+    r4 = np.empty((n_ch, n_lags, n_ch, n_lags))  # R[(c, tau), (c', tau')]
+    for i in range(n_lags):
+        block += inc[i]
+        b_i = block[:, : n_lags - i].transpose(0, 2, 1)  # B_i as [c, c', d]
+        r4[:, i, :, i:] = b_i
+        r4[:, i + 1 :, :, i] = b_i[:, :, 1:].transpose(1, 2, 0)
+    return r4.reshape(n_ch * n_lags, n_ch * n_lags), r_cross
 
 
 def _solve(r_auto: np.ndarray, r_cross: np.ndarray, lam: float) -> np.ndarray:
+    """Solve (R + lam * mean(diag R) * I) w = r: by LU at lam = 0, and by
+    Cholesky for lam > 0, where the system is symmetric positive definite."""
     if lam < 0:
         raise ValueError("lambda must be >= 0")
-    a = r_auto
-    if lam > 0:
-        a = r_auto + lam * float(np.mean(np.diag(r_auto))) * np.eye(len(r_auto))
     try:
-        w = np.linalg.solve(a, r_cross)
+        if lam == 0:
+            return np.linalg.solve(r_auto, r_cross)
+        a = r_auto.copy()
+        a.flat[:: len(a) + 1] += lam * float(np.mean(np.diag(r_auto)))
+        # no finiteness scan, as np.linalg.solve at lam = 0 has none;
+        # decoders check their weights for finiteness
+        factor = cho_factor(a, overwrite_a=True, check_finite=False)
+        return cho_solve(factor, r_cross, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise ValueError(
             f"singular lagged-covariance system at lambda={lam}; regularize (lambda > 0)"
         ) from exc
-    return w
 
 
 def _decoder(w: np.ndarray, n_ch: int, n_lags: int, lam: float) -> LinearDecoder:

@@ -207,11 +207,32 @@ class PipelineConfig:
                             f"sub-windows of >= 2 samples"
                         )
                     band_bins(w // k, self.target_rate, self.features.band)
+            if "linear" in self.models:
+                self._validate_baseline()
             self.cnn.validate()
             self.train.validate()
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         return self
+
+    def _validate_baseline(self) -> None:
+        """The linear decoder's lambda grid, lag span and band."""
+        grid, max_lag = self.baseline.lambda_grid, self.baseline.max_lag_s
+        if not (
+            isinstance(grid, (list, tuple))
+            and grid
+            and all(isinstance(v, (int, float)) and 0 <= v < np.inf for v in grid)
+        ):
+            raise ValueError(
+                f"baseline.lambda_grid {grid!r} must be a non-empty list of finite "
+                f"values >= 0"
+            )
+        if not (isinstance(max_lag, (int, float)) and 0 <= max_lag < np.inf):
+            raise ValueError(f"baseline.max_lag_s {max_lag!r} must be finite and >= 0")
+        try:
+            self.preproc_config(self.baseline.band).validate()
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"baseline.band {self.baseline.band!r}: {exc}") from exc
 
     def preproc_config(self, band: tuple[float, float] | None = None) -> PreprocConfig:
         return PreprocConfig(

@@ -324,3 +324,71 @@ def test_select_lambda_skips_singular_lambda_zero(rng):
     assert dec.ridge_lambda == 1.0 and acc > 0.5
     with pytest.raises(ValueError, match="no lambda"):
         select_lambda((eeg, m, y), (env_l, env_r, val), 5, (0.0,))
+
+
+# ---------------------------------------------------------------------------
+# Lag-block covariances and the Cholesky solve
+# ---------------------------------------------------------------------------
+
+def _direct_covariances(eeg, m, y, n_lags):
+    """sum_t m[t] x_t x_t' and sum_t m[t] y[t] x_t over one full lagged design."""
+    x = _lagged_design(eeg, n_lags)
+    n_rows = len(x)
+    return x.T @ (x * m[:n_rows, None]), x.T @ (m[:n_rows] * y[:n_rows])
+
+
+@pytest.mark.parametrize("window_s", [1.0, 10.0])
+def test_lag_block_covariances_at_realistic_size(rng, window_s):
+    # 32 channels and 19 lags at 70 Hz; windows at 50 % overlap inside
+    # 20 s blocks that leave gaps of 0.5-3 s between them
+    fs, n_lags = 70, 19
+    length = int(window_s * fs)
+    blocks, t = [], 0
+    for i, gap_s in enumerate((0.5, 3.0, 1.0, 2.0)):
+        t += int(gap_s * fs)
+        blocks.append((t, t + 20 * fs, LEFT if i % 2 == 0 else RIGHT))
+        t += 20 * fs
+    eeg = rng.normal(size=(32, t + 40))
+    env_l, env_r = np.abs(rng.normal(size=(2, t + 40)))
+    wins = _trial_windows(blocks, length, 0.5, [True, True, False, True])
+    m, y = train_weights(wins, env_l, env_r, n_lags)
+    r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+    ref_auto, ref_cross = _direct_covariances(eeg, m, y, n_lags)
+    assert np.max(np.abs(r_auto - ref_auto)) <= 1e-12 * np.max(np.abs(ref_auto))
+    assert np.max(np.abs(r_cross - ref_cross)) <= 1e-12 * np.max(np.abs(ref_cross))
+
+
+def test_lag_block_covariances_with_weighted_rows_at_both_edges(rng):
+    # runs of m > 0 start at sample 0 and end at the last row, and the
+    # weights are not integers, so the weight steps at rows -1 and n_rows - 1;
+    # the first run steps at every row, more than ROW_CHUNK times
+    n_lags, t = 6, 1000
+    n_rows = t - n_lags + 1
+    eeg = rng.normal(size=(3, t))
+    y = rng.normal(size=t)
+    m = np.zeros(t)
+    m[:700] = rng.uniform(0.25, 3.5, size=700)
+    m[770:n_rows] = np.repeat(rng.uniform(0.1, 2.0, size=5), [40, 1, 60, 77, 47])
+    assert m[0] > 0 and m[n_rows - 1] > 0 and not np.any(m[n_rows:])
+    assert np.count_nonzero(np.diff(m, prepend=0.0)) > ROW_CHUNK
+    r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+    ref_auto, ref_cross = _direct_covariances(eeg, m, y, n_lags)
+    assert np.max(np.abs(r_auto - ref_auto)) <= 1e-12 * np.max(np.abs(ref_auto))
+    assert np.max(np.abs(r_cross - ref_cross)) <= 1e-12 * np.max(np.abs(ref_cross))
+
+
+def test_solve_cholesky_matches_lu(rng):
+    x = rng.normal(size=(400, 60))
+    r_auto, r_cross = x.T @ x, x.T @ rng.normal(size=400)
+    for lam in (1e-3, 1.0, 1e3):
+        a = r_auto + lam * np.mean(np.diag(r_auto)) * np.eye(60)
+        ref = np.linalg.solve(a, r_cross)
+        w = baseline._solve(r_auto, r_cross, lam)
+        assert np.max(np.abs(w - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.array_equal(r_auto, x.T @ x)  # the ridge is not added to the caller's R
+    singular = np.zeros((60, 60))
+    singular[:30, :30] = r_auto[:30, :30]
+    with pytest.raises(ValueError, match="singular"):
+        baseline._solve(singular, r_cross, 0.0)
+    with pytest.raises(ValueError, match="lambda must be >= 0"):
+        baseline._solve(r_auto, r_cross, -1.0)

@@ -341,6 +341,30 @@ def test_sub_windows_that_do_not_split_the_window_exit_2_before_any_stage(tmp_pa
     config_from_dict({**TINY, "models": ["linear"], "features": {"sub_windows": 3}})
 
 
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("baseline.lambda_grid=[]", "baseline.lambda_grid"),
+        ("baseline.lambda_grid=[-1.0]", "baseline.lambda_grid"),
+        ("baseline.lambda_grid=[-1.0,1.0]", "baseline.lambda_grid"),
+        ("baseline.lambda_grid=[1.0,Infinity]", "baseline.lambda_grid"),
+        ("baseline.max_lag_s=-1", "baseline.max_lag_s"),
+        ("baseline.band=[1,80]", "target Nyquist 35.0 Hz"),
+    ],
+)
+def test_bad_baseline_section_exits_2_before_any_stage(tmp_path, capsys, override, message):
+    p = _write_config(tmp_path, {"models": ["linear"]})
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(p), "--out", str(out), "--set", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    # the baseline section does not constrain a CNN-only run
+    key, value = override.split("=", 1)
+    baseline = {key.split(".")[1]: json.loads(value)}
+    config_from_dict({**TINY, "models": ["cnn"], "baseline": baseline})
+
+
 def test_decoders_csv_counts_match_split(tiny_workspace):
     cfg_path, out = tiny_workspace
     cfg = load_config(cfg_path)
