@@ -1,0 +1,259 @@
+"""Time the pipeline's hot kernels on their own, with their memory peaks.
+
+    PYTHONPATH=src python3 scripts/bench_kernels.py --repeats 7
+    PYTHONPATH=src python3 scripts/bench_kernels.py --paper-scale
+
+Every kernel runs on fixed seeded inputs through a call whose signature is
+the same in every version of the package, so pointing PYTHONPATH at
+another checkout times that code on the same inputs. Each figure is the
+median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
+`peak_mib` is the tracemalloc peak of one more call, its output included.
+
+- Ridge kernels, at `linear-sweep` shape (`rows`, `totals`): 32 channels x
+  16,800 samples (240 s at 70 Hz), 19 lags, and training weights from 1,
+  2, 5 and 10 s windows at 50 % overlap inside 8 trials of 30 s, every
+  fifth window of a trial held out. They time `accumulate_covariances`,
+  the seven `_solve` calls of the default lambda grid and one
+  whole-recording `reconstruct`.
+- The CNN path (`kernels`): `preprocess_recording` of one 240 s subject
+  (64 + 2 reference channels at 128 Hz, float32 as loaded from disk),
+  `_zero_phase` and `resample_series` on that subject's 64 float64
+  channels, `predict_proba` of 700 windows (1 and 5 input channels,
+  float32 and float64 parameters), `extract_ssf` of 256 one-second
+  windows (biosemi64, 5 sub-windows) and `extract_partition` of 1,024.
+
+`--paper-scale` instead runs `preprocess_recording` once on one synthetic
+48-min subject (66 channels at 128 Hz, float32) and reports its time and
+tracemalloc peak.
+
+Prints one JSON object with the machine facts (nproc, numpy, scipy, BLAS
+name and version, OPENBLAS_NUM_THREADS) and the figures. With
+`--out FILE --label NAME` the object is also stored under NAME in FILE,
+next to what FILE already holds.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import statistics
+import sys
+import time
+import tracemalloc
+from dataclasses import asdict
+from pathlib import Path
+
+# one BLAS thread, as in the benchmark, unless the caller sets it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
+import scipy  # noqa: E402
+
+from asad import baseline  # noqa: E402
+from asad.data import LEFT, DecisionWindow, SynthConfig, bundled_montage, synth_recording  # noqa: E402
+from asad.features import extract_ssf  # noqa: E402
+from asad.geometry import project_electrodes  # noqa: E402
+from asad.network import CnnConfig, init_params, predict_proba  # noqa: E402
+from asad.pipeline import FeatureSection, extract_partition  # noqa: E402
+from asad.preprocess import (  # noqa: E402
+    PreprocConfig,
+    _design_bandpass,
+    _impulse_settle_len,
+    _zero_phase,
+    preprocess_recording,
+    resample_series,
+)
+
+FS, N_CHANNELS, N_SAMPLES, N_LAGS = 70, 32, 16_800, 19
+TRIAL = 30 * FS
+WINDOW_SIZES_S = (1, 2, 5, 10)
+MIB = 2**20
+
+
+def inputs(window_s: int, seed: int = 9):
+    """EEG, weights m, target y and the window count for one window size."""
+    rng = np.random.default_rng(seed)
+    eeg = rng.normal(size=(N_CHANNELS, N_SAMPLES))
+    env_l, env_r = np.abs(rng.normal(size=(2, N_SAMPLES)))
+    length = window_s * FS
+    starts, labels = [], []
+    for k, t0 in enumerate(range(0, N_SAMPLES, TRIAL)):
+        for i, s in enumerate(range(t0, t0 + TRIAL - length + 1, length // 2)):
+            if i % 5 != 4:  # every fifth window is held out
+                starts.append(s)
+                labels.append(baseline.LEFT if k % 2 == 0 else baseline.RIGHT)
+    wins = baseline.WindowSet(np.array(starts), length, np.array(labels))
+    m, y = baseline.train_weights(wins, env_l, env_r, N_LAGS)
+    return eeg, m, y, len(starts)
+
+
+def median_s(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times)
+
+
+def traced_peak_mib(fn) -> float:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+
+
+def machine() -> dict:
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+    return {
+        "nproc": len(os.sched_getaffinity(0)),
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "blas_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+    }
+
+
+def ridge_rows(repeats: int) -> list[dict]:
+    rows = []
+    for ws in WINDOW_SIZES_S:
+        eeg, m, y, n_windows = inputs(ws)
+        r_auto, r_cross = baseline.accumulate_covariances(eeg, m, y, N_LAGS)
+        w = baseline._solve(r_auto, r_cross, 1.0)
+        dec = baseline.LinearDecoder(w.reshape(N_CHANNELS, N_LAGS), np.arange(N_LAGS), 1.0)
+        rows.append({
+            "window_s": ws,
+            "train_windows": n_windows,
+            "distinct_rows": int(np.count_nonzero(m)),
+            "weight_steps": int(np.count_nonzero(np.diff(m, prepend=0.0, append=0.0))),
+            "covariance_s": median_s(
+                lambda: baseline.accumulate_covariances(eeg, m, y, N_LAGS), repeats
+            ),
+            "solve_grid_s": median_s(
+                lambda: [baseline._solve(r_auto, r_cross, lam) for lam in baseline.LAMBDA_GRID],
+                repeats,
+            ),
+            "reconstruct_s": median_s(lambda: baseline.reconstruct(dec, eeg), repeats),
+        })
+    return rows
+
+
+def subject(duration_s: float, seed: int = 5):
+    """One synthetic subject as loaded from disk: 64 + 2 channels, float32."""
+    cfg = SynthConfig(n_channels=64, duration_s=duration_s, sample_rate=128.0, seed=seed)
+    rec = synth_recording(cfg, bundled_montage("biosemi64"))
+    rec.data = rec.data.astype(np.float32)
+    return rec
+
+
+def cnn_kernels() -> dict[str, tuple[str, object]]:
+    """Name -> (what the inputs are, a call with the same signature in every version)."""
+    rec = subject(240.0)
+    pp = PreprocConfig(reference_channels=["M1", "M2"])
+    eeg = rec.data[:64].astype(float)
+    sos = _design_bandpass(pp.band, pp.filter_order, rec.sample_rate)
+    pad = _impulse_settle_len(sos, rec.sample_rate)
+    kernels = {
+        "preprocess_recording": ("66 x 30,720 float32 at 128 Hz, 8 trials",
+                                 lambda: preprocess_recording(rec, pp)),
+        "_zero_phase": ("64 x 30,720 float64, 8-13 Hz order 4",
+                        lambda: _zero_phase(sos, eeg, pad)),
+        "resample_series": ("64 x 30,720 float64, 128 -> 70 Hz",
+                            lambda: resample_series(eeg, 128.0, 70.0)),
+    }
+    rng = np.random.default_rng(7)
+    for ch in (1, 5):
+        cfg = CnnConfig(in_channels=ch)
+        x = rng.normal(size=(700, ch, 32, 32)).astype(np.float32)
+        params = init_params(cfg, np.random.default_rng(ch))
+        for dt in (np.float32, np.float64):
+            p = {k: v.astype(dt) for k, v in params.items()}
+            kernels[f"predict_proba_{ch}ch_{np.dtype(dt).name}"] = (
+                f"700 windows x {ch} x 32 x 32 float32, {np.dtype(dt).name} parameters",
+                lambda cfg=cfg, p=p, x=x: predict_proba(cfg, p, x),
+            )
+    layout = project_electrodes(bundled_montage("biosemi64"))
+    feat = FeatureSection(sub_windows=5)
+    segs = rng.normal(size=(1024, 64, 70))
+    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(segs)]
+    kernels["extract_ssf"] = (
+        "256 windows x 64 channels x 70 samples, 5 sub-windows, grid 32",
+        lambda: extract_ssf(segs[:256], layout, 70.0, **asdict(feat)),
+    )
+    kernels["extract_partition"] = (
+        "1,024 windows x 64 channels x 70 samples, 5 sub-windows, grid 32",
+        lambda: extract_partition(wins, layout, 70.0, feat),
+    )
+    return kernels
+
+
+def kernel_table(repeats: int) -> dict:
+    table = {}
+    for name, (what, fn) in cnn_kernels().items():
+        fn()  # warm-up: imports, interpolator tables
+        table[name] = {
+            "inputs": what,
+            "seconds": median_s(fn, repeats),
+            "peak_mib": traced_peak_mib(fn),
+        }
+    return table
+
+
+def paper_scale() -> dict:
+    rec = subject(48 * 60.0)
+    pp = PreprocConfig(reference_channels=["M1", "M2"])
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        out = preprocess_recording(rec, pp)
+        seconds = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1] / MIB
+    finally:
+        tracemalloc.stop()
+    return {
+        "inputs": f"{rec.n_channels} x {rec.n_samples:,} float32 at 128 Hz, 8 trials",
+        "input_mib": rec.data.nbytes / MIB,
+        "output_mib": out.data.nbytes / MIB,
+        "seconds": seconds,
+        "peak_mib": peak,
+    }
+
+
+def main(argv: list[str] | None = None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--repeats", type=int, default=7)
+    ap.add_argument("--paper-scale", action="store_true")
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--label")
+    args = ap.parse_args(argv)
+    if (args.out is None) != (args.label is None):
+        ap.error("--out and --label go together")
+    result = {"script": "scripts/bench_kernels.py", "machine": machine()}
+    if args.paper_scale:
+        result["paper_scale_preprocess"] = paper_scale()
+    else:
+        rows = ridge_rows(args.repeats)
+        result.update({
+            "repeats": args.repeats,
+            "shape": {"channels": N_CHANNELS, "samples": N_SAMPLES, "lags": N_LAGS, "fs": FS},
+            "rows": rows,
+            "totals": {
+                key: sum(r[key] for r in rows)
+                for key in ("covariance_s", "solve_grid_s", "reconstruct_s")
+            },
+            "kernels": kernel_table(args.repeats),
+        })
+    print(json.dumps(result, indent=2))
+    if args.out:
+        stored = json.loads(args.out.read_text()) if args.out.exists() else {}
+        stored[args.label] = result
+        args.out.write_text(json.dumps(stored, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -308,6 +308,13 @@ def load_recording(path: str | Path) -> RawRecording:
     header = read_header(path, "recording", ("subject_id", "sample_rate", "channels", "trials"))
     channels = [str(c) for c in header["channels"]]
     data = read_payload(path, (len(channels), -1))
+    finite = np.isfinite(data)
+    if not finite.all():
+        ch, sample = divmod(int(np.argmin(finite)), data.shape[1])
+        raise ValueError(
+            f"non-finite sample in {container_paths(path)[1]}: channel {ch} "
+            f"({channels[ch]!r}), sample {sample}"
+        )
     trials = [Trial(int(t["start"]), int(t["end"]), str(t["label"])) for t in header["trials"]]
     rec = RawRecording(
         subject_id=str(header["subject_id"]),
@@ -348,7 +355,7 @@ def subset_recording(rec: RawRecording, keep: list[str]) -> RawRecording:
     return replace(
         rec,
         channels=list(keep),
-        data=rec.data[rec_idx].copy(),
+        data=rec.data[rec_idx],  # fancy indexing already copies
         trials=[replace(t) for t in rec.trials],
     ).validate()
 
@@ -416,7 +423,8 @@ def stratified_split(
     """Label-stratified train/validation/test split on contiguous blocks.
 
     Windows are grouped per (subject, label) and bundled into contiguous
-    blocks of ~`block_s` seconds inside each trial; whole blocks are then
+    blocks of ~`block_s` seconds inside each trial (a block shorter than a
+    window is an error); whole blocks are then
     shuffled and dealt greedily toward the target ratios. Afterwards any
     window whose samples spill into a block assigned to a different
     partition is dropped, so no sample is shared across partitions even
@@ -429,7 +437,12 @@ def stratified_split(
     if sample_rate is None:
         raise ValueError("sample_rate is required to size split blocks")
     w_len = windows[0].length
-    block_samples = max(_round_half_up(block_s * sample_rate), w_len)
+    block_samples = _round_half_up(block_s * sample_rate)
+    if block_samples < w_len:
+        raise ValueError(
+            f"split block of {block_s:g} s is {block_samples} samples, shorter than "
+            f"a {w_len}-sample window"
+        )
 
     def block_key(win: DecisionWindow) -> tuple[str, int, int]:
         ti, start = win.origin

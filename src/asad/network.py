@@ -420,7 +420,9 @@ class TrainingDiverged(RuntimeError):
     pass
 
 
-def predict_proba(cfg: CnnConfig, params: dict, x: np.ndarray, chunk: int = 256) -> np.ndarray:
+def predict_proba(cfg: CnnConfig, params: dict, x: np.ndarray, chunk: int = 64) -> np.ndarray:
+    """Eval-mode probabilities, `chunk` windows per forward pass: the im2col
+    of a chunk is its largest temporary, so memory does not grow with len(x)."""
     outs = [forward(cfg, params, x[i : i + chunk], mode="eval")[0] for i in range(0, len(x), chunk)]
     return np.concatenate(outs, axis=0)
 

@@ -89,7 +89,7 @@ PAIRED_HEADER = "model_a,model_b,window_s,t,p,df,degenerate"
 DECODERS_HEADER = (
     "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
 )
-EXTRACT_CHUNK = 256  # windows per extract_ssf call; bounds extract's memory
+EXTRACT_CHUNK = 64  # windows per extract_ssf call; bounds extract's memory
 
 
 class ConfigError(ValueError):
@@ -186,6 +186,13 @@ class PipelineConfig:
             raise ConfigError(f"unknown model(s) {bad}; choose from 'cnn', 'linear'")
         if not self.models:
             raise ConfigError("models must not be empty")
+        longest = max(self.window_sizes_s)
+        block = _round_half_up(self.split.block_s * self.target_rate)
+        if block < _round_half_up(longest * self.target_rate):
+            raise ConfigError(
+                f"split.block_s = {self.split.block_s:g} s is shorter than the longest "
+                f"window ({longest:g} s); a split block must hold a whole window"
+            )
         try:
             # the preprocessing band lies below target Nyquist, and the
             # feature band must lie inside it

@@ -17,6 +17,10 @@ from scipy import signal as sps
 
 from .data import RawRecording, Trial, _round_half_up
 
+# Channels filtered and resampled at a time by `preprocess_recording`: every
+# step after the re-reference treats each channel on its own.
+CHANNEL_BLOCK = 16
+
 
 @dataclass
 class PreprocConfig:
@@ -94,10 +98,15 @@ def _zero_phase(sos: np.ndarray, x: np.ndarray, pad: int) -> np.ndarray:
     else:
         ext = x
     y = sps.sosfilt(sos, ext, axis=-1)
+    del ext  # the padded input is not needed for the backward pass
     y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
-    if pad > 0:
-        y = y[..., pad : pad + n]
-    return np.ascontiguousarray(y)
+    return np.ascontiguousarray(y[..., pad : pad + n])
+
+
+def _bandpass_trials(data: np.ndarray, trials: list[Trial], sos: np.ndarray, pad: int) -> None:
+    """Filter each trial's span of the float64 rows `data` in place."""
+    for tr in trials:
+        data[:, tr.start : tr.end] = _zero_phase(sos, data[:, tr.start : tr.end], pad)
 
 
 def bandpass(
@@ -105,11 +114,8 @@ def bandpass(
 ) -> RawRecording:
     """Zero-phase Butterworth bandpass applied independently per trial."""
     sos = _design_bandpass(band, order, rec.sample_rate)
-    pad = _impulse_settle_len(sos, rec.sample_rate)
-    data = rec.data.astype(float).copy()
-    for tr in rec.trials:
-        seg = data[:, tr.start : tr.end]
-        data[:, tr.start : tr.end] = _zero_phase(sos, seg, pad)
+    data = rec.data.astype(float)
+    _bandpass_trials(data, rec.trials, sos, _impulse_settle_len(sos, rec.sample_rate))
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
@@ -143,29 +149,27 @@ def resample_series(x: np.ndarray, fs: float, target_rate: float) -> np.ndarray:
     return np.ascontiguousarray(y[..., off : off + n_out])
 
 
+def _resampled_trials(trials: list[Trial], ratio: float) -> list[Trial]:
+    return [
+        Trial(_round_half_up(t.start * ratio), _round_half_up(t.end * ratio), t.label)
+        for t in trials
+    ]
+
+
 def resample(rec: RawRecording, target_rate: float) -> RawRecording:
     """Resample the whole recording; trial boundaries rescale by the same
     ratio and are re-validated."""
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
-    if target_rate == rec.sample_rate:
-        return replace(
-            rec, data=rec.data.astype(float).copy(), trials=[replace(t) for t in rec.trials]
-        ).validate()
-    ratio = target_rate / rec.sample_rate
-    data = resample_series(rec.data.astype(float), rec.sample_rate, target_rate)
-    trials = [
-        Trial(_round_half_up(t.start * ratio), _round_half_up(t.end * ratio), t.label)
-        for t in rec.trials
-    ]
+    data = resample_series(np.asarray(rec.data, dtype=float), rec.sample_rate, target_rate)
+    trials = _resampled_trials(rec.trials, target_rate / rec.sample_rate)
     return replace(rec, sample_rate=target_rate, data=data, trials=trials).validate()
 
 
-def normalize_trial(rec: RawRecording) -> RawRecording:
-    """Shift/scale each (channel, trial) segment to mean 0, variance 1
-    (population variance). Samples outside any trial are left untouched."""
-    data = rec.data.astype(float).copy()
-    for ti, tr in enumerate(rec.trials):
+def _normalize_trials(data: np.ndarray, trials: list[Trial], channels: list[str]) -> None:
+    """Shift/scale each (channel, trial) segment of the float64 rows `data`
+    in place to mean 0, variance 1."""
+    for ti, tr in enumerate(trials):
         seg = data[:, tr.start : tr.end]
         if seg.shape[1] < 2:
             raise ValueError(f"trial {ti} has fewer than 2 samples")
@@ -174,19 +178,45 @@ def normalize_trial(rec: RawRecording) -> RawRecording:
         dead = np.flatnonzero(var[:, 0] <= 0.0)
         if dead.size:
             raise ValueError(
-                f"zero-variance segment: channel {rec.channels[dead[0]]!r} in trial {ti}"
+                f"zero-variance segment: channel {channels[dead[0]]!r} in trial {ti}"
             )
-        data[:, tr.start : tr.end] = (seg - mean) / np.sqrt(var)
+        seg -= mean
+        seg /= np.sqrt(var)
+
+
+def normalize_trial(rec: RawRecording) -> RawRecording:
+    """Shift/scale each (channel, trial) segment to mean 0, variance 1
+    (population variance). Samples outside any trial are left untouched."""
+    data = rec.data.astype(float)
+    _normalize_trials(data, rec.trials, rec.channels)
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
 def preprocess_recording(rec: RawRecording, cfg: PreprocConfig) -> RawRecording:
-    """Full chain: re-reference, bandpass, resample, normalize."""
+    """Full chain: re-reference, bandpass, resample, normalize.
+
+    After the re-reference every step treats each channel on its own, so
+    bandpass and resample run CHANNEL_BLOCK channels at a time into one
+    float64 output, which is then normalized in place. The bytes are those
+    of the four steps applied to the whole recording one after another;
+    the float64 work beyond the output stays a few channel blocks.
+    """
     cfg.validate()
     if cfg.band[1] * 2 >= cfg.target_rate:
         raise ValueError("target_rate must exceed twice the band high edge")
-    out = rereference(rec, cfg.reference_channels)
-    out = bandpass(out, cfg.band, cfg.filter_order)
-    out = resample(out, cfg.target_rate)
-    out = normalize_trial(out)
+    ref = rereference(rec, cfg.reference_channels)
+    fs = ref.sample_rate
+    sos = _design_bandpass(cfg.band, cfg.filter_order, fs)
+    pad = _impulse_settle_len(sos, fs)
+    data = None
+    for lo in range(0, ref.n_channels, CHANNEL_BLOCK):
+        block = ref.data[lo : lo + CHANNEL_BLOCK].astype(float)
+        _bandpass_trials(block, ref.trials, sos, pad)
+        block = resample_series(block, fs, cfg.target_rate)
+        if data is None:
+            data = np.empty((ref.n_channels, block.shape[1]))
+        data[lo : lo + CHANNEL_BLOCK] = block
+    trials = _resampled_trials(ref.trials, cfg.target_rate / fs)
+    out = replace(ref, sample_rate=cfg.target_rate, data=data, trials=trials).validate()
+    _normalize_trials(out.data, out.trials, out.channels)
     return out

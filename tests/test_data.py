@@ -340,3 +340,9 @@ def test_synth_reference_channels_noise_only():
     rec = synth_recording(cfg, mont)
     assert rec.channels[-2:] == ["M1", "M2"]
     assert np.all(rec.data[-2:] == 0.0)  # sigma 0: reference rows carry no carrier
+
+
+def test_split_block_shorter_than_a_window_rejected():
+    wins = _one_window_trials(10, 10)
+    with pytest.raises(ValueError, match="split block of 99 s is 99 samples, shorter than a 100-sample window"):
+        stratified_split(wins, seed=0, block_s=99.0, sample_rate=1.0)

@@ -1,7 +1,9 @@
+import inspect
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -383,6 +385,44 @@ def test_evaluate_features_decides_in_float64():
     assert np.any(predict_proba(TINY, params, x).argmax(axis=1) != ref)  # float32 differs
     m = evaluate_features(Checkpoint(TINY, params, TrainConfig(), 0, 0.5), x, ref, ["s"] * 400)
     assert m.accuracy == 1.0
+
+
+PREDICT_CHUNK = inspect.signature(predict_proba).parameters["chunk"].default
+
+
+def test_predict_proba_memory_does_not_grow_with_windows():
+    """predict_proba's traced peak, less its (N, 2) output, stays the same
+    for 1x, 2x and 4x the windows: the eval forward runs chunk by chunk."""
+    cfg = CnnConfig(in_channels=5)
+    params = {k: v.astype(np.float64) for k, v in init_params(cfg, np.random.default_rng(2)).items()}
+    x = np.random.default_rng(3).normal(size=(8 * PREDICT_CHUNK, 5, 32, 32)).astype(np.float32)
+    predict_proba(cfg, params, x[:1])
+
+    def extra_bytes(n):
+        tracemalloc.start()
+        try:
+            probs = predict_proba(cfg, params, x[:n])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return peak - probs.nbytes
+
+    one, two, four = (extra_bytes(k * 2 * PREDICT_CHUNK) for k in (1, 2, 4))
+    assert two <= one + 2**20
+    assert four <= one + 2**20
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("in_channels", [1, 5])
+def test_predict_proba_chunk_keeps_decisions(dtype, in_channels):
+    cfg = CnnConfig(in_channels=in_channels)
+    rng = np.random.default_rng(in_channels)
+    params = {k: v.astype(dtype) for k, v in init_params(cfg, rng).items()}
+    x = rng.normal(size=(300, in_channels, 32, 32)).astype(np.float32)
+    ref = predict_proba(cfg, params, x, chunk=256)
+    probs = predict_proba(cfg, params, x)
+    assert np.array_equal(probs.argmax(axis=1), ref.argmax(axis=1))
+    assert np.allclose(probs, ref, rtol=0, atol=1e-5)
 
 
 _TRAIN_HASH = textwrap.dedent(

@@ -387,3 +387,37 @@ def test_decoders_csv_counts_match_split(tiny_workspace):
         header = json.loads((out / "baseline_eval" / "decoders" / f"{subj}.w1.json").read_text())
         assert float(lam) == header["ridge_lambda"] and float(lam) in cfg.baseline.lambda_grid
         assert 0.0 <= float(val_acc) <= 1.0
+
+
+def test_split_block_shorter_than_a_window_exits_2_before_any_stage(tmp_path, capsys):
+    p = _write_config(tmp_path)
+    out = tmp_path / "o"
+    code = main([
+        "run", "--config", str(p), "--out", str(out),
+        "--set", "split.block_s=0.5", "--set", 'models=["cnn"]',
+    ])
+    assert code == 2
+    assert "split.block_s = 0.5 s is shorter than the longest window (1 s)" in capsys.readouterr().err
+    assert not out.exists() or not any(out.iterdir())
+    # the linear decoder splits on the same blocks
+    with pytest.raises(ConfigError, match="split.block_s"):
+        config_from_dict({**TINY, "models": ["linear"], "window_sizes_s": [1.0, 12.0]})
+    # a block of exactly one window is allowed
+    config_from_dict({**TINY, "window_sizes_s": [1.0, 10.0]})
+
+
+def test_non_finite_recording_sample_named_by_preprocess(tmp_path, capsys):
+    p = _write_config(tmp_path, {"models": ["linear"]})
+    out = tmp_path / "o"
+    assert main(["synth", "--config", str(p), "--out", str(out)]) == 0
+    payload = out / "recordings" / "S00.f32"
+    n_samples = int(120.0 * 128.0)
+    data = np.fromfile(payload, dtype="<f4").reshape(-1, n_samples)
+    data[3, 100] = np.nan
+    data.tofile(payload)
+    capsys.readouterr()
+    assert main(["preprocess", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"non-finite sample in {payload}: channel 3" in err
+    assert "sample 100" in err
+    assert not (out / "preprocessed_baseline").exists()

@@ -1,9 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from asad.data import LEFT, RIGHT, RawRecording, Trial
+from asad.data import LEFT, RIGHT, RawRecording, Trial, _round_half_up
 from asad.preprocess import (
+    CHANNEL_BLOCK,
     PreprocConfig,
+    _design_bandpass,
+    _impulse_settle_len,
+    _zero_phase,
     bandpass,
     normalize_trial,
     preprocess_recording,
@@ -170,3 +176,84 @@ def test_config_validation():
         PreprocConfig(reference_channels=["m"], band=(8.0, 40.0)).validate()
     with pytest.raises(ValueError):
         PreprocConfig(reference_channels=["m"], filter_order=3).validate()
+
+
+def _eeg_recording(n_channels, seconds, fs=128.0, n_trials=4, dtype=np.float32, seed=0):
+    """Noise on `n_channels` channels plus the references m1, m2."""
+    n = int(fs * seconds)
+    data = np.random.default_rng(seed).normal(size=(n_channels + 2, n)).astype(dtype)
+    per = n // n_trials
+    trials = [Trial(i * per, (i + 1) * per, (LEFT, RIGHT)[i % 2]) for i in range(n_trials)]
+    names = [f"c{i}" for i in range(n_channels)] + ["m1", "m2"]
+    return RawRecording("s", fs, names, data, trials).validate()
+
+
+def _copy_based_chain(rec, cfg):
+    """The chain as four whole-recording steps, each on its own copy."""
+    out = rereference(rec, cfg.reference_channels)
+    fs = out.sample_rate
+    sos = _design_bandpass(cfg.band, cfg.filter_order, fs)
+    pad = _impulse_settle_len(sos, fs)
+    data = out.data.astype(float).copy()
+    for tr in out.trials:
+        data[:, tr.start : tr.end] = _zero_phase(sos, data[:, tr.start : tr.end], pad)
+    trials = out.trials
+    if cfg.target_rate != fs:
+        data = resample_series(data.astype(float), fs, cfg.target_rate)
+        r = cfg.target_rate / fs
+        trials = [
+            Trial(_round_half_up(t.start * r), _round_half_up(t.end * r), t.label)
+            for t in trials
+        ]
+    data = data.astype(float).copy()
+    for tr in trials:
+        seg = data[:, tr.start : tr.end]
+        data[:, tr.start : tr.end] = (seg - seg.mean(axis=1, keepdims=True)) / np.sqrt(
+            seg.var(axis=1, keepdims=True)
+        )
+    return data, trials
+
+
+@pytest.mark.parametrize(
+    "n_channels,fs,n_trials,dtype",
+    [
+        (2 * CHANNEL_BLOCK + 3, 128.0, 4, np.float32),  # a partial last block
+        (CHANNEL_BLOCK - 1, 128.0, 1, np.float64),
+        (CHANNEL_BLOCK + 1, 70.0, 3, np.float32),  # no resampling
+        (5, 512.0, 2, np.float32),
+    ],
+)
+def test_chain_matches_copy_based_steps(n_channels, fs, n_trials, dtype):
+    rec = _eeg_recording(n_channels, 30.0, fs, n_trials, dtype, seed=n_channels)
+    cfg = PreprocConfig(reference_channels=["m1", "m2"])
+    data, trials = _copy_based_chain(rec, cfg)
+    out = preprocess_recording(rec, cfg)
+    assert out.data.dtype == np.float64
+    assert out.data.tobytes() == data.tobytes()
+    assert out.trials == trials
+    assert rec.data.dtype == dtype and rec.n_channels == n_channels + 2  # input untouched
+
+
+def test_resample_series_channel_blocks_match_whole():
+    x = np.random.default_rng(3).normal(size=(2 * CHANNEL_BLOCK + 5, 3000))
+    whole = resample_series(x, 128.0, 70.0)
+    blocks = [resample_series(x[lo : lo + CHANNEL_BLOCK], 128.0, 70.0)
+              for lo in range(0, len(x), CHANNEL_BLOCK)]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
+
+
+def test_chain_memory_bounded():
+    """The chain's traced peak, less its output, stays within 3x the
+    input's float64 size at 1x and 2x the duration: no whole-recording
+    copy per step."""
+    cfg = PreprocConfig(reference_channels=["m1", "m2"])
+    preprocess_recording(_eeg_recording(64, 4.0), cfg)  # warm up scipy
+    for seconds in (60.0, 120.0):
+        rec = _eeg_recording(64, seconds)
+        tracemalloc.start()
+        try:
+            out = preprocess_recording(rec, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.data.nbytes <= 3 * rec.data.size * 8
