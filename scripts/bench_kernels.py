@@ -21,6 +21,14 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   channels, `predict_proba` of 700 windows (1 and 5 input channels,
   float32 and float64 parameters), `extract_ssf` of 256 one-second
   windows (biosemi64, 5 sub-windows) and `extract_partition` of 1,024.
+- The map kernels (`kernels`): `band_power` of those 256 windows' 1,280
+  sub-windows, and `CloughTocher.grid` of their 1,280 unclamped maps and
+  of 200 clamped ones.
+- The tensor cache (`kernels`): `stage_extract` of a one-subject workspace
+  whose train partition holds 1,016 five-sub-window windows (the extract
+  and the cache write of every partition), and, on that train cache, a
+  64-window random gather through `load_tensor_cache` against a whole
+  `np.fromfile` of its payload.
 
 `--paper-scale` instead runs `preprocess_recording` once on one synthetic
 48-min subject (66 channels at 128 Hz, float32) and reports its time and
@@ -37,8 +45,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import statistics
 import sys
+import tempfile
 import time
 import tracemalloc
 from dataclasses import asdict
@@ -52,10 +62,18 @@ import scipy  # noqa: E402
 
 from asad import baseline  # noqa: E402
 from asad.data import LEFT, DecisionWindow, SynthConfig, bundled_montage, synth_recording  # noqa: E402
-from asad.features import extract_ssf  # noqa: E402
+from asad.features import band_power, extract_ssf, load_tensor_cache  # noqa: E402
 from asad.geometry import project_electrodes  # noqa: E402
+from asad.interpolate import interpolator  # noqa: E402
 from asad.network import CnnConfig, init_params, predict_proba  # noqa: E402
-from asad.pipeline import FeatureSection, extract_partition  # noqa: E402
+from asad.pipeline import (  # noqa: E402
+    FeatureSection,
+    config_from_dict,
+    extract_partition,
+    stage_extract,
+    stage_preprocess,
+    stage_synth,
+)
 from asad.preprocess import (  # noqa: E402
     PreprocConfig,
     _design_bandpass,
@@ -188,18 +206,61 @@ def cnn_kernels() -> dict[str, tuple[str, object]]:
         "1,024 windows x 64 channels x 70 samples, 5 sub-windows, grid 32",
         lambda: extract_partition(wins, layout, 70.0, feat),
     )
+    subs = segs[:256].reshape(256, 64, 5, 14).transpose(0, 2, 1, 3)
+    power = band_power(subs, 70.0, (8.0, 13.0))
+    kernels["band_power"] = (
+        "256 x 5 sub-windows x 64 channels x 14 samples, 8-13 Hz",
+        lambda: band_power(subs, 70.0, (8.0, 13.0)),
+    )
+    kernels["grid_unclamped"] = (
+        "1,280 maps of 64 values, biosemi64, grid 32",
+        lambda: interpolator(layout).grid(power, 32),
+    )
+    kernels["grid_clamped"] = (
+        "200 maps of 64 values, biosemi64, grid 32, clamped gradients",
+        lambda: interpolator(layout, True).grid(power.reshape(-1, 64)[:200], 32),
+    )
     return kernels
+
+
+def cache_kernels(root: Path) -> dict[str, tuple[str, object]]:
+    """The tensor cache kernels on a workspace under `root`."""
+    cfg = config_from_dict({
+        "models": ["cnn"],
+        "synth": {"n_subjects": 1, "duration_s": 672.0, "seed": 3},
+        "split": {"block_s": 10.0},
+        "features": {"sub_windows": 5},
+        "window_sizes_s": [1.0],
+    })
+    stage_synth(cfg, root)
+    stage_preprocess(cfg, root)
+    stage_extract(cfg, root)
+    train = root / "features" / "w1" / "train"
+    n = len(json.loads(train.with_suffix(".json").read_text())["labels"])
+    idx = np.random.default_rng(11).choice(n, size=64, replace=False)
+    return {
+        "stage_extract": (f"1 subject x 672 s, 64 channels at 70 Hz, 5 sub-windows: {n:,} train windows",
+                          lambda: stage_extract(cfg, root)),
+        "cache_gather_64": (f"64 random windows of a {n:,}-window train cache",
+                            lambda: load_tensor_cache(train)[0][idx]),
+        "cache_fromfile": (f"whole payload of that {n:,}-window cache",
+                           lambda: np.fromfile(train.with_suffix(".f32"), dtype="<f4")),
+    }
 
 
 def kernel_table(repeats: int) -> dict:
     table = {}
-    for name, (what, fn) in cnn_kernels().items():
-        fn()  # warm-up: imports, interpolator tables
-        table[name] = {
-            "inputs": what,
-            "seconds": median_s(fn, repeats),
-            "peak_mib": traced_peak_mib(fn),
-        }
+    root = Path(tempfile.mkdtemp(prefix="bench-kernels-"))
+    try:
+        for name, (what, fn) in {**cnn_kernels(), **cache_kernels(root)}.items():
+            fn()  # warm-up: imports, interpolator tables
+            table[name] = {
+                "inputs": what,
+                "seconds": median_s(fn, repeats),
+                "peak_mib": traced_peak_mib(fn),
+            }
+    finally:
+        shutil.rmtree(root)
     return table
 
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import tempfile
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -41,14 +43,15 @@ def _round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
 
 
-def atomic_write_bytes(path: str | Path, payload: bytes | memoryview) -> None:
-    """Write via a temporary sibling file and rename, so readers never see
-    a half-written file."""
+def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
+    """Write the chunks one after another via a temporary sibling file and
+    rename, so readers never see a half-written file; if producing a chunk
+    fails, the temporary file is removed."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            fh.writelines(chunks)  # drops each chunk before asking for the next
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -57,7 +60,7 @@ def atomic_write_bytes(path: str | Path, payload: bytes | memoryview) -> None:
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
 def dump_header(obj: dict) -> str:
@@ -248,11 +251,17 @@ def container_paths(path: str | Path) -> tuple[Path, Path]:
 def write_container(path: str | Path, kind: str, header: dict, payload) -> Path:
     """Write `header` with format_version and kind added, plus `payload` as
     little-endian float32. Returns the header path."""
+    return write_container_chunks(path, kind, header, (payload,))
+
+
+def write_container_chunks(path: str | Path, kind: str, header: dict, chunks: Iterable) -> Path:
+    """`write_container` for a payload given as consecutive arrays: each
+    chunk's float32 bytes are written as it comes, so the payload is never
+    held whole, and the header only once the last chunk is in."""
     header_path, data_path = container_paths(path)
-    header = {**header, "format_version": FORMAT_VERSION, "kind": kind}
-    atomic_write_text(header_path, dump_header(header))
-    # the array's own buffer is written, without a bytes copy of the payload
-    atomic_write_bytes(data_path, np.ascontiguousarray(payload, dtype="<f4").data)
+    # each array's own buffer is written, without a bytes copy of it
+    atomic_write_chunks(data_path, (np.ascontiguousarray(c, dtype="<f4").data for c in chunks))
+    atomic_write_text(header_path, dump_header({**header, "format_version": FORMAT_VERSION, "kind": kind}))
     return header_path
 
 
@@ -279,17 +288,115 @@ def read_header(path: str | Path, kind: str, required: tuple[str, ...] = ()) -> 
     return header
 
 
-def read_payload(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
-    """The float32 payload reshaped to `shape`, where one dimension may be -1."""
-    _, data_path = container_paths(path)
-    data = np.fromfile(data_path, dtype="<f4")
+def _payload_shape(data_path: Path, size: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """`shape` with its -1 resolved, checked against a payload of `size` bytes."""
+    count, odd = divmod(size, 4)
     known = math.prod(d for d in shape if d != -1)
-    if known == 0 or data.size % known or (-1 not in shape and data.size != known):
+    if odd or known == 0 or count % known or (-1 not in shape and count != known):
         raise ValueError(
-            f"payload shape mismatch: {data.size} float32 values in {data_path} "
+            f"payload shape mismatch: {size} bytes ({count} float32 values) in {data_path} "
             f"do not fill shape {tuple(shape)}"
         )
-    return data.reshape(shape)
+    return tuple(count // known if d == -1 else d for d in shape)
+
+
+def read_payload(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
+    """The float32 payload reshaped to `shape`, where one dimension may be -1;
+    its size is checked before it is read."""
+    _, data_path = container_paths(path)
+    shape = _payload_shape(data_path, data_path.stat().st_size, shape)
+    return np.fromfile(data_path, dtype="<f4").reshape(shape)
+
+
+class PayloadRows:
+    """Read-only view of a float32 payload of `shape` = (N, ...): indexing
+    the first axis reads only the rows asked for, by positioned reads into
+    the result, so the payload is never held whole. It supports `len`,
+    `shape`, integer, integer-array and slice indices (further indices apply
+    to the rows read) and `np.asarray`. The size is checked at open; close
+    it, or use it as a context manager."""
+
+    dtype = np.dtype("<f4")
+
+    def __init__(self, path: str | Path, shape: tuple[int, ...]):
+        _, self.path = container_paths(path)
+        self._fd = os.open(self.path, os.O_RDONLY)
+        try:
+            self.shape = _payload_shape(self.path, os.fstat(self._fd).st_size, shape)
+        except BaseException:
+            self.close()
+            raise
+        self._row_bytes = math.prod(self.shape[1:]) * 4
+
+    @property
+    def ndim(self) -> int:
+        return len(self.shape)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def close(self) -> None:
+        if self._fd >= 0:
+            os.close(self._fd)
+            self._fd = -1
+
+    def __enter__(self) -> "PayloadRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __del__(self) -> None:
+        if getattr(self, "_fd", -1) >= 0:
+            self.close()
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        rows = self[:]
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+    def __getitem__(self, key):
+        rest = ()
+        if isinstance(key, tuple):
+            key, rest = key[0], key[1:]
+        n = len(self)
+        if isinstance(key, slice):
+            rows = range(n)[key]
+            idx = np.arange(rows.start, rows.stop, rows.step, dtype=np.intp)
+        elif np.ndim(key) == 0:
+            i = operator.index(key)
+            if not -n <= i < n:
+                raise IndexError(f"row {i} out of range for {n} rows")
+            return self._gather(np.array([i % n]))[(0, *rest)]
+        else:
+            idx = np.asarray(key)
+            if idx.size and idx.dtype.kind not in "iu":
+                raise IndexError("rows must be selected by integers or a slice")
+            idx = idx.astype(np.intp)
+            if idx.size and not (-n <= idx.min() and idx.max() < n):
+                raise IndexError(f"row index out of range for {n} rows")
+            idx = np.where(idx < 0, idx + n, idx)
+        out = self._gather(idx.ravel()).reshape(idx.shape + self.shape[1:])
+        return out[(slice(None),) * idx.ndim + rest] if rest else out
+
+    def _gather(self, idx: np.ndarray) -> np.ndarray:
+        """Rows `idx` (non-negative, in range) in order, one read per run
+        of consecutive rows."""
+        out = np.empty((len(idx),) + self.shape[1:], dtype=self.dtype)
+        if not len(idx):
+            return out
+        flat = memoryview(out.reshape(-1).view(np.uint8))
+        breaks = np.flatnonzero(np.diff(idx) != 1) + 1
+        for lo, hi in zip([0, *breaks.tolist()], [*breaks.tolist(), len(idx)]):
+            self._read_into(flat[lo * self._row_bytes : hi * self._row_bytes],
+                            int(idx[lo]) * self._row_bytes)
+        return out
+
+    def _read_into(self, buf: memoryview, offset: int) -> None:
+        while buf:
+            got = os.preadv(self._fd, [buf], offset)
+            if got == 0:
+                raise ValueError(f"payload {self.path} ended at byte {offset}, expected more")
+            buf, offset = buf[got:], offset + got
 
 
 def save_recording(rec: RawRecording, path: str | Path) -> Path:

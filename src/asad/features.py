@@ -9,6 +9,8 @@ matrix products over the batch.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,10 +18,10 @@ import numpy as np
 
 from .data import (
     LABELS,
+    PayloadRows,
     atomic_write_text,
     read_header,
-    read_payload,
-    write_container,
+    write_container_chunks,
 )
 from .geometry import ProjectedLayout
 from .interpolate import interpolator
@@ -120,33 +122,52 @@ def extract_ssf(
 # ---------------------------------------------------------------------------
 
 def save_tensor_cache(
-    maps: np.ndarray,
+    maps: np.ndarray | Iterable[np.ndarray],
     labels: list[str],
     subjects: list[str],
     extent: tuple[float, float, float, float],
     path: str | Path,
 ) -> Path:
     """Header JSON + float32 blob of maps (N, S, grid_n, grid_n), window-major.
-    Returns the header path."""
-    if maps.ndim != 4 or maps.shape[2] != maps.shape[3] or not len(maps):
-        raise ValueError("maps must be a non-empty (N, S, grid_n, grid_n) array")
-    if not len(maps) == len(labels) == len(subjects):
+    `maps` is the whole array, or an iterable of (n, S, grid_n, grid_n)
+    chunks in window order, written as they come. Returns the header path."""
+    if not len(labels) == len(subjects):
         raise ValueError("one label and one subject id per window required")
     if not set(labels) <= set(LABELS):
         raise ValueError(f"bad label(s) {sorted(set(labels) - set(LABELS))}")
-    _, s, grid_n, _ = maps.shape
+    chunks = iter((maps,) if isinstance(maps, np.ndarray) else maps)
+    first = next(chunks, None)
+    if first is None or first.ndim != 4 or first.shape[2] != first.shape[3]:
+        raise ValueError("maps must be a non-empty (N, S, grid_n, grid_n) array")
+    _, s, grid_n, _ = first.shape
+
+    def checked():
+        count = 0
+        for chunk in itertools.chain((first,), chunks):
+            if chunk.shape[1:] != first.shape[1:]:
+                raise ValueError(f"map chunk of shape {chunk.shape} after {first.shape}")
+            count += len(chunk)
+            yield chunk
+        if not count or count != len(labels):
+            raise ValueError(
+                f"{count} windows of maps for {len(labels)} labels: "
+                "one label and one subject id per window required"
+            )
+
     header = {"S": s, "grid_n": grid_n, "extent": [float(v) for v in extent],
               "labels": list(labels), "subjects": list(subjects)}
-    return write_container(path, "tensor_cache", header, maps)
+    return write_container_chunks(path, "tensor_cache", header, checked())
 
 
-def load_tensor_cache(path: str | Path) -> tuple[np.ndarray, list[str], list[str], dict]:
-    """Returns (maps (N,S,g,g) float32, labels, subjects, header)."""
+def load_tensor_cache(path: str | Path) -> tuple[PayloadRows, list[str], list[str], dict]:
+    """Returns (maps, labels, subjects, header). `maps` is the read-only
+    (N, S, g, g) float32 view of the payload that reads only the windows
+    indexed; the caller closes it."""
     header = read_header(path, "tensor_cache", ("S", "grid_n", "labels", "subjects"))
     s, grid_n = int(header["S"]), int(header["grid_n"])
     labels = [str(x) for x in header["labels"]]
     subjects = [str(x) for x in header["subjects"]]
-    return read_payload(path, (len(labels), s, grid_n, grid_n)), labels, subjects, header
+    return PayloadRows(path, (len(labels), s, grid_n, grid_n)), labels, subjects, header
 
 
 def write_map_pgm(ssf_map: SsfMap, path: str | Path) -> None:

@@ -46,13 +46,16 @@ _PATCH_EDGES = ((0, 1), (1, 2), (2, 0))
 
 
 def _neighbors(layout: ProjectedLayout) -> list[list[int]]:
-    """Sorted triangulation neighbors of each point."""
-    nbrs: list[set[int]] = [set() for _ in layout.points]
-    for a, b, c in layout.triangles:
-        nbrs[a].update((b, c))
-        nbrs[b].update((a, c))
-        nbrs[c].update((a, b))
-    return [sorted(js) for js in nbrs]
+    """Sorted triangulation neighbors of each point (cached on the layout)."""
+    key = ("neighbors",)
+    if key not in layout._caches:
+        nbrs: list[set[int]] = [set() for _ in layout.points]
+        for a, b, c in layout.triangles:
+            nbrs[a].update((b, c))
+            nbrs[b].update((a, c))
+            nbrs[c].update((a, b))
+        layout._caches[key] = [sorted(js) for js in nbrs]
+    return layout._caches[key]
 
 
 def gradient_operator(layout: ProjectedLayout) -> np.ndarray:

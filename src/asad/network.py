@@ -513,7 +513,9 @@ def evaluate_features(
         raise ValueError("empty window set")
     validate_params(checkpoint.config, checkpoint.params)
     params = {k: np.asarray(v, dtype=np.float64) for k, v in checkpoint.params.items()}
-    probs = predict_proba(checkpoint.config, params, x)
+    # half of predict_proba's 64 windows per pass: the float64 im2col of a
+    # chunk is then no larger than that of a float32 training batch
+    probs = predict_proba(checkpoint.config, params, x, chunk=32)
     hits = probs.argmax(axis=1) == np.asarray(y)
     per_subject: dict[str, list[bool]] = {}
     for subj, hit in zip(subjects, hits):

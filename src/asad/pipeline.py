@@ -23,6 +23,7 @@ import csv
 import json
 import shutil
 import sys
+from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -473,16 +474,25 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
     )
 
 
-def extract_partition(
+def partition_maps(
     wins: list, layout: ProjectedLayout, fs: float, feat: FeatureSection
-) -> np.ndarray:
-    """Float32 (N, S, g, g) maps of one partition's windows, built
-    EXTRACT_CHUNK windows at a time: the float64 work does not grow with N."""
-    maps = np.empty((len(wins), feat.sub_windows, feat.grid_n, feat.grid_n), dtype=np.float32)
+) -> Iterator[np.ndarray]:
+    """Float32 (n, S, g, g) maps of one partition's windows, EXTRACT_CHUNK
+    windows at a time: the float64 work does not grow with the partition."""
     for lo in range(0, len(wins), EXTRACT_CHUNK):
         batch = np.stack([w.samples for w in wins[lo : lo + EXTRACT_CHUNK]])
         # the feature section's fields are extract_ssf's options
-        maps[lo : lo + len(batch)] = extract_ssf(batch, layout, fs, **asdict(feat))
+        yield extract_ssf(batch, layout, fs, **asdict(feat)).astype(np.float32)
+
+
+def extract_partition(
+    wins: list, layout: ProjectedLayout, fs: float, feat: FeatureSection
+) -> np.ndarray:
+    """All of `partition_maps` as one (N, S, g, g) array."""
+    maps = np.empty((len(wins), feat.sub_windows, feat.grid_n, feat.grid_n), dtype=np.float32)
+    chunks = partition_maps(wins, layout, fs, feat)
+    for lo in range(0, len(wins), EXTRACT_CHUNK):
+        maps[lo : lo + EXTRACT_CHUNK] = next(chunks)
     return maps
 
 
@@ -499,7 +509,8 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             ws_dir = tmp / _ws_tag(ws)
             ws_dir.mkdir()
             for pname, wins in split.partitions().items():
-                maps = extract_partition(wins, layout, cfg.target_rate, feat)
+                # each chunk goes to the cache file as soon as it is built
+                maps = partition_maps(wins, layout, cfg.target_rate, feat)
                 labels, subjects = [w.label for w in wins], [w.subject_id for w in wins]
                 save_tensor_cache(maps, labels, subjects, layout.extent, ws_dir / pname)
 
@@ -514,18 +525,20 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
     with stage_output(out_dir, "runs") as (tmp,):
         for ws in cfg.window_sizes_s:
             ws_dir = feat_root / _ws_tag(ws)
+            # the caches are read batch by batch, never held whole
             x_tr, lab_tr, _, _ = load_tensor_cache(ws_dir / "train")
             x_va, lab_va, _, _ = load_tensor_cache(ws_dir / "validation")
             y_tr = np.array([LABEL_INDEX[l] for l in lab_tr])
             y_va = np.array([LABEL_INDEX[l] for l in lab_va])
-            for k in range(cfg.seeds.runs):
-                seed = cfg.seeds.base + k
-                tc = replace(cfg.train, seed=seed)
-                ckpt, history = train_arrays(cfg.cnn, tc, x_tr, y_tr, x_va, y_va)
-                run_dir = tmp / _ws_tag(ws) / f"seed{seed}"
-                run_dir.mkdir(parents=True)
-                save_checkpoint(ckpt, run_dir / "checkpoint")
-                save_history_csv(history, run_dir / "history.csv")
+            with x_tr, x_va:
+                for k in range(cfg.seeds.runs):
+                    seed = cfg.seeds.base + k
+                    tc = replace(cfg.train, seed=seed)
+                    ckpt, history = train_arrays(cfg.cnn, tc, x_tr, y_tr, x_va, y_va)
+                    run_dir = tmp / _ws_tag(ws) / f"seed{seed}"
+                    run_dir.mkdir(parents=True)
+                    save_checkpoint(ckpt, run_dir / "checkpoint")
+                    save_history_csv(history, run_dir / "history.csv")
 
 
 def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -537,12 +550,13 @@ def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
         ws_dir = out_dir / "features" / _ws_tag(ws)
         x_te, lab_te, subj_te, _ = load_tensor_cache(ws_dir / "test")
         y_te = np.array([LABEL_INDEX[l] for l in lab_te])
-        for k in range(cfg.seeds.runs):
-            seed = cfg.seeds.base + k
-            ckpt = load_checkpoint(out_dir / "runs" / _ws_tag(ws) / f"seed{seed}" / "checkpoint")
-            metrics = evaluate_features(ckpt, x_te, y_te, subj_te)
-            for subj, acc in metrics.per_subject.items():
-                rows.append(("cnn", ws, seed, subj, acc))
+        with x_te:
+            for k in range(cfg.seeds.runs):
+                seed = cfg.seeds.base + k
+                ckpt = load_checkpoint(out_dir / "runs" / _ws_tag(ws) / f"seed{seed}" / "checkpoint")
+                metrics = evaluate_features(ckpt, x_te, y_te, subj_te)
+                for subj, acc in metrics.per_subject.items():
+                    rows.append(("cnn", ws, seed, subj, acc))
     with stage_output(out_dir, "eval") as (tmp,):
         _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
 

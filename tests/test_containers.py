@@ -18,12 +18,14 @@ from asad.baseline import (
     save_envelope,
 )
 from asad.data import (
+    PayloadRows,
     container_paths,
     load_recording,
     read_header,
     read_payload,
     save_recording,
     write_container,
+    write_container_chunks,
 )
 from asad.features import load_tensor_cache, save_tensor_cache
 from asad.network import (
@@ -70,6 +72,74 @@ def test_roundtrip_property(kind, header, payload, data):
         assert out.tobytes() == payload.astype("<f4").tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 40), cuts=st.lists(st.integers(0, 40), max_size=6), seed=st.integers(0, 2**32 - 1))
+def test_chunked_writer_matches_one_shot_property(n, cuts, seed):
+    """Any split of a payload into consecutive chunks, empty ones included,
+    writes the bytes of the one-shot write, for containers and caches."""
+    payload = np.random.default_rng(seed).normal(size=(n, 2, 4, 4)).astype(np.float32)
+    bounds = [0, *sorted(min(c, n) for c in cuts), n]
+    chunks = [payload[a:b] for a, b in zip(bounds, bounds[1:])]
+    labels, subjects = ["Left"] * n, ["s0"] * n
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        write_container(root / "one", "k", {"n": n}, payload)
+        write_container_chunks(root / "many", "k", {"n": n}, iter(chunks))
+        save_tensor_cache(payload, labels, subjects, (0.0, 1.0, 0.0, 1.0), root / "cache_one")
+        save_tensor_cache(iter(chunks), labels, subjects, (0.0, 1.0, 0.0, 1.0), root / "cache_many")
+        for one, many in (("one", "many"), ("cache_one", "cache_many")):
+            for a, b in zip(container_paths(root / one), container_paths(root / many)):
+                assert a.read_bytes() == b.read_bytes()
+        assert sorted(q.name for q in root.iterdir()) == sorted(
+            f"{name}.{ext}" for name in ("one", "many", "cache_one", "cache_many") for ext in ("json", "f32")
+        )
+
+
+def test_tensor_cache_chunks_must_cover_the_labels(tmp_path):
+    rng = np.random.default_rng(0)
+    chunks = [rng.normal(size=(2, 1, 4, 4)), rng.normal(size=(1, 1, 4, 4))]
+    with pytest.raises(ValueError, match="3 windows of maps for 4 labels"):
+        save_tensor_cache(iter(chunks), ["Left"] * 4, ["s0"] * 4, (0.0, 1.0, 0.0, 1.0), tmp_path / "c")
+    with pytest.raises(ValueError, match="map chunk of shape"):
+        save_tensor_cache(iter([chunks[0], rng.normal(size=(1, 2, 4, 4))]), ["Left"] * 3,
+                          ["s0"] * 3, (0.0, 1.0, 0.0, 1.0), tmp_path / "c")
+    assert not any(tmp_path.iterdir())
+
+
+slice_ends = st.none() | st.integers(-45, 45)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 40), data=st.data())
+def test_payload_rows_match_whole_read_property(n, data):
+    """Rows read by position equal the whole payload indexed the same way:
+    unsorted, repeated and empty index lists, slices and single rows."""
+    payload = np.random.default_rng(n).normal(size=(n, 2, 3)).astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c"
+        write_container(path, "k", {}, payload)
+        whole = np.fromfile(container_paths(path)[1], dtype="<f4").reshape(n, 2, 3)
+        with PayloadRows(path, (-1, 2, 3)) as rows:
+            assert len(rows) == n and rows.shape == (n, 2, 3) and rows.ndim == 3
+            idx = data.draw(st.lists(st.integers(-n, n - 1), max_size=3 * n), label="idx")
+            got = rows[idx]
+            assert got.dtype == np.float32 and got.shape == (len(idx), 2, 3)
+            assert got.tobytes() == whole[np.array(idx, dtype=int)].tobytes()
+            grid = np.array(idx[: 2 * (len(idx) // 2)], dtype=int).reshape(2, -1)
+            assert rows[grid].tobytes() == whole[grid].tobytes()
+            step = data.draw(st.none() | st.integers(-3, 3).filter(bool), label="step")
+            key = slice(data.draw(slice_ends, label="start"), data.draw(slice_ends, label="stop"), step)
+            assert rows[key].tobytes() == whole[key].tobytes()
+            i = data.draw(st.integers(-n, n - 1), label="row")
+            assert rows[i].tobytes() == whole[i].tobytes()
+            assert rows[i, 1].tobytes() == whole[i, 1].tobytes()
+            assert rows[idx, 1:].tobytes() == whole[np.array(idx, dtype=int), 1:].tobytes()
+            assert np.asarray(rows).tobytes() == whole.tobytes()
+            for bad in (n, -n - 1, [0, n]):
+                with pytest.raises(IndexError):
+                    rows[bad]
+
+
 LOADERS = {
     "recording": load_recording,
     "envelope": load_envelope,
@@ -110,6 +180,18 @@ def test_payload_one_float_short_rejected(tmp_path, loader):
     data_path.write_bytes(data_path.read_bytes()[:-4])
     with pytest.raises(ValueError, match="shape mismatch"):
         LOADERS[loader](path)
+
+
+@pytest.mark.parametrize("edit", [b"", b"\0\0", b"\0\0\0\0"],
+                         ids=["one float short", "two bytes over", "one float over"])
+def test_payload_size_checked_before_reading(tmp_path, edit):
+    path = _write_each_kind(tmp_path)["cache"]
+    _, data_path = container_paths(path)
+    data = data_path.read_bytes()
+    data_path.write_bytes(data + edit if edit else data[:-4])
+    for load in (load_tensor_cache, lambda p: read_payload(p, (1, 2, 4, 4))):
+        with pytest.raises(ValueError, match=f"shape mismatch: .* in {data_path} do not fill"):
+            load(path)
 
 
 def _drop_kind(path: Path) -> None:

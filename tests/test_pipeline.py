@@ -5,9 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asad import pipeline
+from asad import network, pipeline
 from asad.cli import main
-from asad.data import LEFT, DecisionWindow
+from asad.data import LABEL_INDEX, LABELS, LEFT, DecisionWindow
+from asad.features import load_tensor_cache, save_tensor_cache
 from asad.geometry import project_electrodes
 from asad.pipeline import (
     EXTRACT_CHUNK,
@@ -17,6 +18,7 @@ from asad.pipeline import (
     extract_partition,
     load_config,
 )
+from asad.network import CnnConfig, TrainConfig, train_arrays
 
 from conftest import make_random_montage
 
@@ -277,6 +279,90 @@ def test_extract_memory_does_not_grow_with_windows(rng):
     one, two, four = (extra_bytes(k * 2 * EXTRACT_CHUNK) for k in (1, 2, 4))
     assert two <= one + 2**20
     assert four <= one + 2**20
+
+
+def test_train_memory_does_not_grow_with_cached_windows(tmp_path):
+    """One epoch of training from tensor caches of 1x, 2x and 4x the windows
+    has the same traced peak: batches are read from the cache file, which is
+    never held whole, so only the parameters and one batch's work count."""
+    cfg = CnnConfig(in_channels=5, conv_filters=2, fc_sizes=(8, 4))
+    tc = TrainConfig(max_epochs=1, early_stop_patience=1)
+    base = 2 * tc.batch_size
+    maps = np.random.default_rng(5).normal(size=(4 * base, 5, 32, 32)).astype(np.float32)
+    labels = [LABELS[i % 2] for i in range(4 * base)]
+    for k in (1, 2, 4):
+        n = k * base
+        save_tensor_cache(maps[:n], labels[:n], ["s"] * n, (0.0, 1.0, 0.0, 1.0), tmp_path / f"x{k}")
+
+    def peak_bytes(k):
+        tracemalloc.start()
+        try:
+            x, lab, _, _ = load_tensor_cache(tmp_path / f"x{k}")
+            y = np.array([LABEL_INDEX[l] for l in lab])
+            train_arrays(cfg, tc, x, y, x, y)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak_bytes(1)  # imports and first-call allocations
+    one, two, four = (peak_bytes(k) for k in (1, 2, 4))
+    assert two <= one + 2**20
+    assert four <= one + 2**20
+
+
+@pytest.fixture(scope="module")
+def extracted_workspace(tmp_path_factory):
+    """A CNN-only workspace after synth and preprocess, and its config."""
+    root = tmp_path_factory.mktemp("extract")
+    p = _write_config(root, {"models": ["cnn"]})
+    out = root / "o"
+    for stage in ("synth", "preprocess"):
+        assert main([stage, "--config", str(p), "--out", str(out)]) == 0
+    return p, out
+
+
+def test_extract_failing_in_a_later_chunk_leaves_no_cache(extracted_workspace, tmp_path, monkeypatch):
+    p, src = extracted_workspace
+    out = tmp_path / "o"
+    shutil.copytree(src, out)
+    real, streamed = pipeline.extract_ssf, []
+
+    def fail_on_second_chunk(*args, **kwargs):
+        if streamed:
+            # the first chunk already sits in the train cache's temporary file
+            streamed.extend((out / ".tmp-features" / "w1").glob(".train.f32.*"))
+            raise RuntimeError("band power failed")
+        streamed.append("first chunk")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "extract_ssf", fail_on_second_chunk)
+    assert main(["extract", "--config", str(p), "--out", str(out)]) == 1
+    assert len(streamed) == 2, streamed
+    assert not (out / "features").exists()
+    assert not any(q.name.startswith(".tmp-") for q in out.iterdir())
+    assert not list(out.rglob("*.f32.*"))
+
+
+@pytest.mark.parametrize("edit", ["truncate", "pad", "extra window"])
+def test_train_rejects_cache_of_wrong_size_before_a_step(
+    extracted_workspace, tmp_path, monkeypatch, capsys, edit
+):
+    p, src = extracted_workspace
+    out = tmp_path / "o"
+    shutil.copytree(src, out)
+    assert main(["extract", "--config", str(p), "--out", str(out)]) == 0
+    payload = out / "features" / "w1" / "train.f32"
+    data = payload.read_bytes()
+    payload.write_bytes({"truncate": data[:-4], "pad": data + b"\0\0",
+                         "extra window": data + data[: 32 * 32 * 4]}[edit])
+    steps = []
+    monkeypatch.setattr(network, "loss_and_grad", lambda *a, **k: steps.append(a))
+    capsys.readouterr()
+    assert main(["train", "--config", str(p), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "payload shape mismatch" in err and f"in {payload} do not fill" in err
+    assert not steps
+    assert not (out / "runs").exists()
 
 
 def _failing_save_envelope(*args, **kwargs):
