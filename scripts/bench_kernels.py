@@ -20,7 +20,9 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   `_zero_phase` and `resample_series` on that subject's 64 float64
   channels, `predict_proba` of 700 windows (1 and 5 input channels,
   float32 and float64 parameters), `extract_ssf` of 256 one-second
-  windows (biosemi64, 5 sub-windows) and `extract_partition` of 1,024.
+  windows (biosemi64, 5 sub-windows) and `partition_maps` of 1,024 laid
+  end to end in one recording, its chunks consumed as they come (its
+  signature took a list of windows before the WindowSet index table).
 - The map kernels (`kernels`): `band_power` of those 256 windows' 1,280
   sub-windows, and `CloughTocher.grid` of their 1,280 unclamped maps and
   of 200 clamped ones.
@@ -29,6 +31,10 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   and the cache write of every partition), and, on that train cache, a
   64-window random gather through `load_tensor_cache` against a whole
   `np.fromfile` of its payload.
+
+- The split (`kernels`): `build_split` of 1 and of 16 48-min subjects at
+  70 Hz (8 trials each, one channel: windows hold no samples), 0.1 s
+  windows at 50 % overlap, the ROADMAP's paper scale.
 
 `--paper-scale` instead runs `preprocess_recording` once on one synthetic
 48-min subject (66 channels at 128 Hz, float32) and reports its time and
@@ -61,15 +67,25 @@ import numpy as np  # noqa: E402
 import scipy  # noqa: E402
 
 from asad import baseline  # noqa: E402
-from asad.data import LEFT, DecisionWindow, SynthConfig, bundled_montage, synth_recording  # noqa: E402
+from asad.data import (  # noqa: E402
+    LEFT,
+    RIGHT,
+    RawRecording,
+    SynthConfig,
+    Trial,
+    WindowSet,
+    bundled_montage,
+    synth_recording,
+)
 from asad.features import band_power, extract_ssf, load_tensor_cache  # noqa: E402
 from asad.geometry import project_electrodes  # noqa: E402
 from asad.interpolate import interpolator  # noqa: E402
 from asad.network import CnnConfig, init_params, predict_proba  # noqa: E402
 from asad.pipeline import (  # noqa: E402
     FeatureSection,
+    build_split,
     config_from_dict,
-    extract_partition,
+    partition_maps,
     stage_extract,
     stage_preprocess,
     stage_synth,
@@ -101,7 +117,8 @@ def inputs(window_s: int, seed: int = 9):
             if i % 5 != 4:  # every fifth window is held out
                 starts.append(s)
                 labels.append(baseline.LEFT if k % 2 == 0 else baseline.RIGHT)
-    wins = baseline.WindowSet(np.array(starts), length, np.array(labels))
+    n = len(starts)
+    wins = WindowSet(np.full(n, "s"), np.zeros(n, int), np.array(starts), np.array(labels), length)
     m, y = baseline.train_weights(wins, env_l, env_r, N_LAGS)
     return eeg, m, y, len(starts)
 
@@ -197,14 +214,16 @@ def cnn_kernels() -> dict[str, tuple[str, object]]:
     layout = project_electrodes(bundled_montage("biosemi64"))
     feat = FeatureSection(sub_windows=5)
     segs = rng.normal(size=(1024, 64, 70))
-    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(segs)]
+    data = {"s": np.concatenate(segs, axis=1)}
+    wins = WindowSet(np.full(1024, "s"), np.zeros(1024, int), 70 * np.arange(1024),
+                     np.full(1024, LEFT), 70)
     kernels["extract_ssf"] = (
         "256 windows x 64 channels x 70 samples, 5 sub-windows, grid 32",
         lambda: extract_ssf(segs[:256], layout, 70.0, **asdict(feat)),
     )
-    kernels["extract_partition"] = (
+    kernels["partition_maps"] = (
         "1,024 windows x 64 channels x 70 samples, 5 sub-windows, grid 32",
-        lambda: extract_partition(wins, layout, 70.0, feat),
+        lambda: [None for _ in partition_maps(wins, data, layout, 70.0, feat)],
     )
     subs = segs[:256].reshape(256, 64, 5, 14).transpose(0, 2, 1, 3)
     power = band_power(subs, 70.0, (8.0, 13.0))
@@ -221,6 +240,23 @@ def cnn_kernels() -> dict[str, tuple[str, object]]:
         lambda: interpolator(layout, True).grid(power.reshape(-1, 64)[:200], 32),
     )
     return kernels
+
+
+def split_kernels() -> dict[str, tuple[str, object]]:
+    """`build_split` at paper scale, on 1 and 16 subjects."""
+    cfg = config_from_dict({"window_sizes_s": [0.1]})
+    trial = 6 * 60 * 70  # 8 trials of 6 min: 48 min at 70 Hz
+    recs = [
+        RawRecording(f"S{i:02d}", 70.0, ["a"], np.zeros((1, 8 * trial), dtype=np.float32),
+                     [Trial(k * trial, (k + 1) * trial, LEFT if (i + k) % 2 else RIGHT)
+                      for k in range(8)])
+        for i in range(16)
+    ]
+    return {
+        f"build_split_{n}": (f"{n} x 48 min at 70 Hz, 0.1 s windows, 50 % overlap",
+                             lambda n=n: build_split(cfg, recs[:n], 0.1))
+        for n in (1, 16)
+    }
 
 
 def cache_kernels(root: Path) -> dict[str, tuple[str, object]]:
@@ -252,7 +288,7 @@ def kernel_table(repeats: int) -> dict:
     table = {}
     root = Path(tempfile.mkdtemp(prefix="bench-kernels-"))
     try:
-        for name, (what, fn) in {**cnn_kernels(), **cache_kernels(root)}.items():
+        for name, (what, fn) in {**cnn_kernels(), **split_kernels(), **cache_kernels(root)}.items():
             fn()  # warm-up: imports, interpolator tables
             table[name] = {
                 "inputs": what,

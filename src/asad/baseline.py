@@ -27,8 +27,8 @@ from scipy.linalg import cho_factor, cho_solve
 from .data import (
     LEFT,
     RIGHT,
-    DecisionWindow,
     RawRecording,
+    WindowSet,
     _round_half_up,
     read_header,
     read_payload,
@@ -83,35 +83,6 @@ def _lagged_design(eeg: np.ndarray, n_lags: int) -> np.ndarray:
         raise ValueError(f"series of {t} samples is shorter than max lag {n_lags - 1}")
     sw = sliding_window_view(eeg, n_lags, axis=1)  # (C, T-L, n_lags)
     return np.ascontiguousarray(sw.transpose(1, 0, 2)).reshape(t - n_lags + 1, -1)
-
-
-@dataclass
-class WindowSet:
-    """Equal-length decision windows on one recording, by first sample."""
-
-    starts: np.ndarray  # (k,) first sample of each window
-    length: int  # samples per window
-    labels: np.ndarray  # (k,) LEFT or RIGHT
-
-    @classmethod
-    def of(cls, windows: list[DecisionWindow]) -> "WindowSet":
-        lengths = {w.length for w in windows}
-        if len(lengths) != 1:
-            raise ValueError("need a non-empty set of equal-length windows")
-        return cls(
-            starts=np.array([w.origin[1] for w in windows], dtype=np.intp),
-            length=lengths.pop(),
-            labels=np.array([w.label for w in windows]),
-        )
-
-    def rows(self, n_lags: int) -> np.ndarray:
-        """(k, length - n_lags + 1) samples at which each window's lagged
-        rows, and so its reconstruction, start."""
-        if self.length < n_lags:
-            raise ValueError(
-                f"series of {self.length} samples is shorter than max lag {n_lags - 1}"
-            )
-        return self.starts[:, None] + np.arange(self.length - n_lags + 1)
 
 
 def train_weights(

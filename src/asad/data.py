@@ -1,5 +1,10 @@
 """Recording/montage containers, decision windows, splitting, synthesis.
 
+Decision windows are a `WindowSet`: an index table with one row per window
+(subject, trial, first sample, label) and one shared length, built by
+`segment_windows` and partitioned by `stratified_split`; the samples stay in
+their recording and are sliced out where they are used.
+
 On-disk recording container (format version 1; every container goes
 through the codec below):
 
@@ -26,6 +31,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,10 +52,14 @@ def _round_half_up(x: float) -> int:
 def atomic_write_chunks(path: str | Path, chunks: Iterable[bytes | memoryview]) -> None:
     """Write the chunks one after another via a temporary sibling file and
     rename, so readers never see a half-written file; if producing a chunk
-    fails, the temporary file is removed."""
+    fails, the temporary file is removed. The file gets the mode that
+    open() would give, 0o666 less the umask, not mkstemp's 0o600."""
     path = Path(path)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "wb") as fh:
             fh.writelines(chunks)  # drops each chunk before asking for the next
         os.replace(tmp, path)
@@ -170,26 +180,64 @@ class Montage:
             raise ValueError(f"unknown montage electrode {name!r}") from None
 
 
-@dataclass
-class DecisionWindow:
-    subject_id: str
-    samples: np.ndarray  # (n_channels, W)
-    label: str
-    origin: tuple[int, int]  # (trial index, start sample)
+class Window(NamedTuple):
+    """One row of a WindowSet, made on demand; it holds no samples."""
 
-    @property
-    def length(self) -> int:
-        return self.samples.shape[1]
+    subject_id: str
+    origin: tuple[int, int]  # (trial index, start sample)
+    length: int
+    label: str
+
+
+@dataclass
+class WindowSet:
+    """Equal-length decision windows as an index table, one row per window:
+    the samples of window i are data[:, starts[i] : starts[i] + length] of
+    subject subjects[i]'s recording. Indexing with an integer gives a
+    `Window` (so iteration yields them); with a slice or an index array,
+    the WindowSet of those rows."""
+
+    subjects: np.ndarray  # (k,) subject id
+    trials: np.ndarray  # (k,) trial index in its recording
+    starts: np.ndarray  # (k,) first sample
+    labels: np.ndarray  # (k,) LEFT or RIGHT
+    length: int  # samples per window
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, key):
+        if np.ndim(key) == 0 and not isinstance(key, slice):
+            i = operator.index(key)
+            return Window(str(self.subjects[i]), (int(self.trials[i]), int(self.starts[i])),
+                          self.length, str(self.labels[i]))
+        return WindowSet(self.subjects[key], self.trials[key], self.starts[key],
+                         self.labels[key], self.length)
+
+    @classmethod
+    def concat(cls, sets: list["WindowSet"]) -> "WindowSet":
+        if len({s.length for s in sets}) != 1:
+            raise ValueError("need a non-empty list of equal-length window sets")
+        return cls(*(np.concatenate([getattr(s, f) for s in sets])
+                     for f in ("subjects", "trials", "starts", "labels")), sets[0].length)
+
+    def rows(self, n_lags: int) -> np.ndarray:
+        """(k, length - n_lags + 1) samples at which each window's lagged
+        rows, and so its reconstruction, start."""
+        if self.length < n_lags:
+            raise ValueError(
+                f"series of {self.length} samples is shorter than max lag {n_lags - 1}"
+            )
+        return self.starts[:, None] + np.arange(self.length - n_lags + 1)
 
 
 @dataclass
 class SplitSet:
-    train: list[DecisionWindow]
-    validation: list[DecisionWindow]
-    test: list[DecisionWindow]
-    seed: int
+    train: WindowSet
+    validation: WindowSet
+    test: WindowSet
 
-    def partitions(self) -> dict[str, list[DecisionWindow]]:
+    def partitions(self) -> dict[str, WindowSet]:
         return {"train": self.train, "validation": self.validation, "test": self.test}
 
 
@@ -481,9 +529,7 @@ def window_hop(window_samples: int, overlap_fraction: float) -> int:
     return max(1, _round_half_up(window_samples * (1.0 - overlap_fraction)))
 
 
-def segment_windows(
-    rec: RawRecording, window_s: float, overlap_fraction: float
-) -> list[DecisionWindow]:
+def segment_windows(rec: RawRecording, window_s: float, overlap_fraction: float) -> WindowSet:
     """Slice every trial into decision windows of `window_s` seconds.
 
     Starts advance by hop = round(W * (1 - overlap)); a trial of length L
@@ -496,36 +542,29 @@ def segment_windows(
     if w < 2:
         raise ValueError(f"window of {window_s} s is {w} samples; need >= 2")
     hop = window_hop(w, overlap_fraction)
-    out: list[DecisionWindow] = []
-    for ti, tr in enumerate(rec.trials):
-        length = tr.length
-        if length < w:
-            continue
-        count = (length - w) // hop + 1
-        for k in range(count):
-            start = tr.start + k * hop
-            out.append(
-                DecisionWindow(
-                    subject_id=rec.subject_id,
-                    samples=rec.data[:, start : start + w],
-                    label=tr.label,
-                    origin=(ti, start),
-                )
-            )
-    if not out:
+    kept = [(ti, tr) for ti, tr in enumerate(rec.trials) if tr.length >= w]
+    if not kept:
         raise ValueError(
             f"window of {w} samples is longer than every trial "
             f"(max length {max(t.length for t in rec.trials)})"
         )
-    return out
+    counts = [(tr.length - w) // hop + 1 for _, tr in kept]
+    return WindowSet(
+        subjects=np.full(sum(counts), rec.subject_id),
+        trials=np.repeat([ti for ti, _ in kept], counts),
+        starts=np.concatenate([tr.start + hop * np.arange(n) for (_, tr), n in zip(kept, counts)]),
+        labels=np.repeat([tr.label for _, tr in kept], counts),
+        length=w,
+    )
 
 
 def stratified_split(
-    windows: list[DecisionWindow],
+    windows: WindowSet,
     ratios: tuple[float, float, float] = (0.8, 0.1, 0.1),
     seed: int = 0,
     block_s: float = 60.0,
-    sample_rate: float | None = None,
+    *,
+    sample_rate: float,
 ) -> SplitSet:
     """Label-stratified train/validation/test split on contiguous blocks.
 
@@ -535,15 +574,14 @@ def stratified_split(
     shuffled and dealt greedily toward the target ratios. Afterwards any
     window whose samples spill into a block assigned to a different
     partition is dropped, so no sample is shared across partitions even
-    with overlapping windows.
+    with overlapping windows. Each partition keeps its windows in the
+    order of `windows`.
     """
-    if not windows:
+    if not len(windows):
         raise ValueError("no windows to split")
     if abs(sum(ratios) - 1.0) > 1e-9 or any(r < 0 for r in ratios):
         raise ValueError("ratios must be non-negative and sum to 1")
-    if sample_rate is None:
-        raise ValueError("sample_rate is required to size split blocks")
-    w_len = windows[0].length
+    w_len = windows.length
     block_samples = _round_half_up(block_s * sample_rate)
     if block_samples < w_len:
         raise ValueError(
@@ -551,64 +589,58 @@ def stratified_split(
             f"a {w_len}-sample window"
         )
 
-    def block_key(win: DecisionWindow) -> tuple[str, int, int]:
-        ti, start = win.origin
-        return (win.subject_id, ti, start // block_samples)
+    # blocks keyed (subject, trial, start // block_samples), in sorted order;
+    # a block lies inside one trial, so it has one label
+    subject_ids, subj = np.unique(windows.subjects, return_inverse=True)
+    first_block = windows.starts // block_samples
+    keys, first, block_of = np.unique(
+        np.column_stack([subj, windows.trials, first_block]),
+        axis=0, return_index=True, return_inverse=True,
+    )
+    block_label = np.array([LABEL_INDEX[lab] for lab in windows.labels[first]], dtype=np.intp)
+    # groups in sorted (subject, label) order, each with its blocks in key order
+    group = keys[:, 0] * len(LABELS) + block_label
+    by_group = np.argsort(group, kind="stable")
+    bounds = np.flatnonzero(np.diff(group[by_group])) + 1
 
-    groups: dict[tuple[str, str], dict[tuple, list[DecisionWindow]]] = {}
-    for win in windows:
-        grp = groups.setdefault((win.subject_id, win.label), {})
-        grp.setdefault(block_key(win), []).append(win)
-
-    names = ("train", "validation", "test")
-    assignment: dict[tuple, int] = {}
-    parts: tuple[list[DecisionWindow], ...] = ([], [], [])
-
-    for gkey in sorted(groups):
-        blocks = groups[gkey]
-        keys = sorted(blocks)
-        if len(keys) < sum(1 for r in ratios if r > 0):
+    assignment = np.empty(len(keys), dtype=np.intp)
+    for members in np.split(by_group, bounds):
+        sid, label = str(subject_ids[keys[members[0], 0]]), LABELS[block_label[members[0]]]
+        if len(members) < sum(1 for r in ratios if r > 0):
             raise ValueError(
-                f"group subject={gkey[0]!r} label={gkey[1]!r} has only {len(keys)} "
+                f"group subject={sid!r} label={label!r} has only {len(members)} "
                 f"block(s); cannot populate all partitions"
             )
         # group-local stream: the shuffle must not depend on how many other
         # groups were processed first
-        g_seed = (seed, zlib.crc32(gkey[0].encode()), LABEL_INDEX[gkey[1]])
-        order = np.random.default_rng(g_seed).permutation(len(keys))
-        total = len(keys)
-        targets = [r * total for r in ratios]
+        g_seed = (seed, zlib.crc32(sid.encode()), LABEL_INDEX[label])
+        order = np.random.default_rng(g_seed).permutation(len(members))
+        targets = [r * len(members) for r in ratios]
         counts = [0, 0, 0]
         for oi in order:
-            key = keys[oi]
             # fill the partition with the most remaining relative capacity
             scores = [
                 (targets[p] - counts[p]) / targets[p] if targets[p] > 0 else -1.0
                 for p in range(3)
             ]
             p = int(np.argmax(scores))
-            assignment[key] = p
+            assignment[members[oi]] = p
             counts[p] += 1
 
-    # Boundary scrub: a window reaching into blocks of another partition
-    # would share samples across partitions, so it is discarded.
-    for win in windows:
-        key = block_key(win)
-        p = assignment[key]
-        ti, start = win.origin
-        last_block = (start + win.length - 1) // block_samples
-        ok = True
-        for b in range(key[2] + 1, last_block + 1):
-            peer = (win.subject_id, ti, b)
-            if assignment.get(peer, p) != p:
-                ok = False
-                break
-        if ok:
-            parts[p].append(win)
+    # Boundary scrub: a window reaching into a block of another partition
+    # would share samples across partitions, so it is discarded. Blocks hold
+    # a whole window, so the last sample lies in the first block or the
+    # next one, which, if any window starts there, is the next key.
+    follows = np.all(keys[1:, :2] == keys[:-1, :2], axis=1) & (keys[1:, 2] == keys[:-1, 2] + 1)
+    next_part = assignment.copy()
+    next_part[:-1][follows] = assignment[1:][follows]
+    part = assignment[block_of]
+    crosses = (windows.starts + w_len - 1) // block_samples > first_block
+    part[crosses & (next_part[block_of] != part)] = -1
 
-    split = SplitSet(train=parts[0], validation=parts[1], test=parts[2], seed=seed)
-    for name, part in split.partitions().items():
-        if not part and ratios[names.index(name)] > 0:
+    split = SplitSet(*(windows[np.flatnonzero(part == p)] for p in range(3)))
+    for (name, wins), ratio in zip(split.partitions().items(), ratios):
+        if not len(wins) and ratio > 0:
             raise ValueError(f"partition {name!r} ended up empty")
     return split
 

@@ -33,7 +33,6 @@ import numpy as np
 from .baseline import (
     LAMBDA_GRID,
     Envelope,
-    WindowSet,
     add_envelope_mixture,
     decide_attention,
     load_envelope,
@@ -49,6 +48,7 @@ from .data import (
     Montage,
     RawRecording,
     SynthConfig,
+    WindowSet,
     _round_half_up,
     atomic_write_text,
     bundled_montage,
@@ -462,9 +462,7 @@ def _load_preprocessed(out_dir: Path, sub_dir: str = "preprocessed") -> list[Raw
 
 
 def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
-    windows = []
-    for rec in recs:
-        windows.extend(segment_windows(rec, window_s, cfg.overlap_fraction))
+    windows = WindowSet.concat([segment_windows(rec, window_s, cfg.overlap_fraction) for rec in recs])
     return stratified_split(
         windows,
         ratios=tuple(cfg.split.ratios),
@@ -475,25 +473,19 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
 
 
 def partition_maps(
-    wins: list, layout: ProjectedLayout, fs: float, feat: FeatureSection
+    wins: WindowSet, data: dict[str, np.ndarray], layout: ProjectedLayout, fs: float,
+    feat: FeatureSection,
 ) -> Iterator[np.ndarray]:
-    """Float32 (n, S, g, g) maps of one partition's windows, EXTRACT_CHUNK
-    windows at a time: the float64 work does not grow with the partition."""
+    """Float32 (n, S, g, g) maps of one partition's windows, whose samples
+    are gathered from `data` (subject id -> channels x samples)
+    EXTRACT_CHUNK windows at a time: the float64 work does not grow with
+    the partition."""
     for lo in range(0, len(wins), EXTRACT_CHUNK):
-        batch = np.stack([w.samples for w in wins[lo : lo + EXTRACT_CHUNK]])
+        chunk = wins[lo : lo + EXTRACT_CHUNK]
+        batch = np.stack([data[sid][:, s : s + chunk.length]
+                          for sid, s in zip(chunk.subjects, chunk.starts)])
         # the feature section's fields are extract_ssf's options
         yield extract_ssf(batch, layout, fs, **asdict(feat)).astype(np.float32)
-
-
-def extract_partition(
-    wins: list, layout: ProjectedLayout, fs: float, feat: FeatureSection
-) -> np.ndarray:
-    """All of `partition_maps` as one (N, S, g, g) array."""
-    maps = np.empty((len(wins), feat.sub_windows, feat.grid_n, feat.grid_n), dtype=np.float32)
-    chunks = partition_maps(wins, layout, fs, feat)
-    for lo in range(0, len(wins), EXTRACT_CHUNK):
-        maps[lo : lo + EXTRACT_CHUNK] = next(chunks)
-    return maps
 
 
 def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -502,6 +494,7 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
         return
     layout = project_electrodes(resolve_montage(cfg))
     recs = _load_preprocessed(out_dir)
+    data = {rec.subject_id: rec.data for rec in recs}
     feat = cfg.features
     with stage_output(out_dir, "features") as (tmp,):
         for ws in cfg.window_sizes_s:
@@ -510,9 +503,9 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             ws_dir.mkdir()
             for pname, wins in split.partitions().items():
                 # each chunk goes to the cache file as soon as it is built
-                maps = partition_maps(wins, layout, cfg.target_rate, feat)
-                labels, subjects = [w.label for w in wins], [w.subject_id for w in wins]
-                save_tensor_cache(maps, labels, subjects, layout.extent, ws_dir / pname)
+                maps = partition_maps(wins, data, layout, cfg.target_rate, feat)
+                save_tensor_cache(maps, wins.labels.tolist(), wins.subjects.tolist(),
+                                  layout.extent, ws_dir / pname)
 
 
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -603,20 +596,19 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
                 if ws in short:
                     continue
                 split = build_split(cfg, [rec], ws)
-                train = WindowSet.of(split.train)
+                train, test = split.train, split.test
                 m, y = train_weights(train, env_l, env_r, n_lags)
-                val = (env_l, env_r, WindowSet.of(split.validation))
                 decoder, val_acc = select_lambda(
-                    (eeg, m, y), val, n_lags, tuple(cfg.baseline.lambda_grid)
+                    (eeg, m, y), (env_l, env_r, split.validation), n_lags,
+                    tuple(cfg.baseline.lambda_grid),
                 )
-                test = WindowSet.of(split.test)
                 test_rows = test.rows(n_lags)
                 s_hat = reconstruct(decoder, eeg)
                 d = decide_attention(s_hat[test_rows], env_l[test_rows], env_r[test_rows])
-                acc = int(np.sum(d.label == test.labels)) / len(test.labels)
+                acc = int(np.sum(d.label == test.labels)) / len(test)
                 rows.append(("linear", ws, cfg.seeds.base, rec.subject_id, acc))
                 choices.append(
-                    (rec.subject_id, ws, decoder.ridge_lambda, val_acc, len(train.labels),
+                    (rec.subject_id, ws, decoder.ridge_lambda, val_acc, len(train),
                      int(np.count_nonzero(m)), int(m.sum()))
                 )
                 save_decoder(decoder, dec_dir / f"{rec.subject_id}.{_ws_tag(ws)}")
@@ -772,7 +764,8 @@ def dump_map(
             f"window index {window_index} out of range (have {len(windows)} windows)"
         )
     layout = project_electrodes(mont)
-    segment = windows[window_index].samples[None]
+    start = windows.starts[window_index]
+    segment = rec.data[None, :, start : start + windows.length]
     maps = extract_ssf(segment, layout, rec.sample_rate, **asdict(cfg.features))
     ssf_map = SsfMap(grid=maps[0, 0], extent=layout.extent)
     prefix = Path(out_prefix)

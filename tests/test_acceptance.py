@@ -287,12 +287,15 @@ def test_c07_linear_closed_loop():
     def seg(w, env):
         return env.samples[w.origin[1] : w.origin[1] + w.length]
 
-    pairs = [(w.samples, seg(w, env_l if w.label == LEFT else env_r)) for w in split.train]
+    def samples(w):
+        return rec.data[:, w.origin[1] : w.origin[1] + w.length]
+
+    pairs = [(samples(w), seg(w, env_l if w.label == LEFT else env_r)) for w in split.train]
     decoder = fit_decoder_segments(pairs, n_lags=19, ridge_lambda=1.0)
-    held_out = split.validation + split.test
+    held_out = [*split.validation, *split.test]
     hits = 0
     for w in held_out:
-        s_hat = reconstruct(decoder, w.samples)
+        s_hat = reconstruct(decoder, samples(w))
         d = decide_attention(s_hat, seg(w, env_l)[: len(s_hat)], seg(w, env_r)[: len(s_hat)])
         hits += d.label == w.label
     acc = hits / len(held_out)

@@ -7,7 +7,6 @@ from asad.baseline import (
     ROW_CHUNK,
     Envelope,
     LinearDecoder,
-    WindowSet,
     _lagged_design,
     accumulate_covariances,
     decide_attention,
@@ -23,7 +22,7 @@ from asad.baseline import (
     synth_envelope,
     train_weights,
 )
-from asad.data import LEFT, RIGHT
+from asad.data import LEFT, RIGHT, WindowSet
 
 
 def test_exact_regression_single_lag(rng):
@@ -188,16 +187,19 @@ def test_accuracy_grows_with_window_length():
     def seg(w, env):
         return env.samples[w.origin[1] : w.origin[1] + w.length]
 
+    def samples(w):
+        return rec.data[:, w.origin[1] : w.origin[1] + w.length]
+
     accs = []
     for ws in (2.0, 5.0, 10.0):
         wins = segment_windows(rec, ws, 0.5)
         split = stratified_split(wins, (0.7, 0.1, 0.2), seed=9, block_s=30.0, sample_rate=fs)
-        pairs = [(w.samples, seg(w, env_l if w.label == LEFT else env_r)) for w in split.train]
+        pairs = [(samples(w), seg(w, env_l if w.label == LEFT else env_r)) for w in split.train]
         dec = fit_decoder_segments(pairs, n_lags=19, ridge_lambda=1.0)
-        held = split.validation + split.test
+        held = [*split.validation, *split.test]
         hits = sum(
             decide_attention(
-                reconstruct(dec, w.samples),
+                reconstruct(dec, samples(w)),
                 seg(w, env_l)[: w.length - 18],
                 seg(w, env_r)[: w.length - 18],
             ).label
@@ -222,7 +224,8 @@ def _trial_windows(trials, length, overlap, keep):
             starts.append(s0)
             labels.append(label)
     picked = [i for i in range(len(starts)) if keep[i % len(keep)]] or [0]
-    return WindowSet(np.array(starts)[picked], length, np.array(labels)[picked])
+    return WindowSet(np.full(len(picked), "s"), np.zeros(len(picked), int),
+                     np.array(starts)[picked], np.array(labels)[picked], length)
 
 
 @settings(max_examples=30, deadline=None)
@@ -284,7 +287,8 @@ def test_covariance_designs_stay_within_row_chunk(rng, monkeypatch):
 def test_whole_recording_reconstruction_sliced_equals_per_window(rng):
     eeg = rng.normal(size=(5, 3000))
     dec = LinearDecoder(weights=rng.normal(size=(5, 19)), lags=np.arange(19), ridge_lambda=1.0)
-    wins = WindowSet(np.array([0, 35, 700, 2930]), 70, np.array([LEFT, RIGHT, LEFT, RIGHT]))
+    wins = WindowSet(np.full(4, "s"), np.zeros(4, int), np.array([0, 35, 700, 2930]),
+                     np.array([LEFT, RIGHT, LEFT, RIGHT]), 70)
     whole = reconstruct(dec, eeg)
     assert len(whole) == 3000 - 18
     sliced = whole[wins.rows(19)]

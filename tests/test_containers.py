@@ -1,6 +1,8 @@
 """The container codec: round trips, kind checks and payload sizes."""
 
 import json
+import os
+import stat
 import tempfile
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from asad.baseline import (
 )
 from asad.data import (
     PayloadRows,
+    atomic_write_text,
     container_paths,
     load_recording,
     read_header,
@@ -222,3 +225,15 @@ def test_missing_key_and_version_rejected(tmp_path):
     header_path.write_text(json.dumps({**header, "format_version": 2}))
     with pytest.raises(ValueError, match="format_version"):
         load_envelope(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_written_files_follow_the_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        header_path = write_container(tmp_path / "c", "thing", {}, np.zeros(3))
+        atomic_write_text(tmp_path / "t.txt", "x\n")
+    finally:
+        os.umask(old)
+    for path in (header_path, container_paths(header_path)[1], tmp_path / "t.txt"):
+        assert stat.S_IMODE(path.stat().st_mode) == mode, path

@@ -1,9 +1,14 @@
 import json
+import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asad.data import (
+    LABEL_INDEX,
+    LABELS,
     LEFT,
     RIGHT,
     RawRecording,
@@ -17,8 +22,10 @@ from asad.data import (
     stratified_split,
     subset_channels,
     synth_recording,
+    window_hop,
 )
 from asad.features import band_power
+from asad.pipeline import build_split, config_from_dict
 
 from conftest import make_recording
 
@@ -281,6 +288,135 @@ def test_split_group_too_small():
     wins = _one_window_trials(2, 2)
     with pytest.raises(ValueError, match="cannot populate"):
         stratified_split(wins, seed=0, block_s=100.0, sample_rate=1.0)
+
+
+def _list_split(recs, w, overlap, ratios, seed, block_samples):
+    """Reference: segmentation and split one window at a time on lists of
+    (subject, trial, start, label), as the per-window implementation did.
+    Returns the (subject, trial, start) list of each partition."""
+    hop = window_hop(w, overlap)
+    windows = []
+    for rec in recs:
+        found = False
+        for ti, tr in enumerate(rec.trials):
+            for k in range((tr.length - w) // hop + 1 if tr.length >= w else 0):
+                windows.append((rec.subject_id, ti, tr.start + k * hop, tr.label))
+                found = True
+        if not found:
+            raise ValueError(
+                f"window of {w} samples is longer than every trial "
+                f"(max length {max(t.length for t in rec.trials)})"
+            )
+
+    def block_key(win):
+        return (win[0], win[1], win[2] // block_samples)
+
+    groups = {}
+    for win in windows:
+        groups.setdefault((win[0], win[3]), {}).setdefault(block_key(win), []).append(win)
+    assignment = {}
+    for gkey in sorted(groups):
+        keys = sorted(groups[gkey])
+        if len(keys) < sum(1 for r in ratios if r > 0):
+            raise ValueError(
+                f"group subject={gkey[0]!r} label={gkey[1]!r} has only {len(keys)} "
+                f"block(s); cannot populate all partitions"
+            )
+        g_seed = (seed, zlib.crc32(gkey[0].encode()), LABEL_INDEX[gkey[1]])
+        order = np.random.default_rng(g_seed).permutation(len(keys))
+        targets = [r * len(keys) for r in ratios]
+        counts = [0, 0, 0]
+        for oi in order:
+            scores = [
+                (targets[p] - counts[p]) / targets[p] if targets[p] > 0 else -1.0
+                for p in range(3)
+            ]
+            p = int(np.argmax(scores))
+            assignment[keys[oi]] = p
+            counts[p] += 1
+    parts = ([], [], [])
+    for win in windows:
+        key = block_key(win)
+        p = assignment[key]
+        last_block = (win[2] + w - 1) // block_samples
+        if all(assignment.get((win[0], win[1], b), p) == p for b in range(key[2] + 1, last_block + 1)):
+            parts[p].append(win[:3])
+    for name, part, ratio in zip(("train", "validation", "test"), parts, ratios):
+        if not part and ratio > 0:
+            raise ValueError(f"partition {name!r} ended up empty")
+    return list(parts)
+
+
+def _array_split(recs, w, overlap, ratios, seed, block_samples):
+    cfg = config_from_dict({
+        "window_sizes_s": [float(w)], "target_rate": 1.0, "band": [0.1, 0.4],
+        "overlap_fraction": overlap, "models": ["linear"],
+        "features": {"band": [0.1, 0.4]}, "baseline": {"band": [0.1, 0.4], "max_lag_s": 0.0},
+        "split": {"ratios": list(ratios), "block_s": float(block_samples)},
+        "seeds": {"base": seed},
+    })
+    split = build_split(cfg, recs, float(w))
+    return [[(w.subject_id, *w.origin) for w in part] for part in split.partitions().values()]
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+trial_tables = st.lists(
+    st.tuples(st.integers(0, 20), st.integers(2, 150), st.sampled_from(LABELS)),
+    min_size=1, max_size=6,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    tables=st.dictionaries(st.text("abAB0_", min_size=1, max_size=3), trial_tables,
+                           min_size=1, max_size=3),
+    w=st.integers(2, 12),
+    overlap=st.sampled_from([0.0, 0.5, 0.75]),
+    block_windows=st.floats(1.0, 4.0),
+    ratios=st.sampled_from([(0.8, 0.1, 0.1), (0.5, 0.5, 0.0), (0.6, 0.0, 0.4),
+                            (0.0, 0.5, 0.5), (1.0, 0.0, 0.0)]),
+    seed=st.integers(0, 2**16),
+)
+def test_array_split_equals_per_window_reference(tables, w, overlap, block_windows, ratios, seed):
+    """Random multi-subject trial tables, with gaps and unequal trials: the
+    array segmentation and split give the per-window reference's
+    (subject, trial, start) lists per partition, in order, or its error."""
+    recs = []
+    for sid, table in tables.items():
+        trials, t = [], 0
+        for gap, length, label in table:
+            trials.append(Trial(t + gap, t + gap + length, label))
+            t += gap + length
+        recs.append(RawRecording(sid, 1.0, ["a"], np.zeros((1, t)), trials))
+    block_samples = int(round(w * block_windows))
+    ref = _outcome(_list_split, recs, w, overlap, ratios, seed, block_samples)
+    assert _outcome(_array_split, recs, w, overlap, ratios, seed, block_samples) == ref
+
+
+def test_paper_scale_split_memory():
+    """build_split of one 48-min subject at 70 Hz, 0.1 s windows at 50 %
+    overlap (50,392 windows) holds only index arrays: its traced peak is
+    7.7 MiB (16.5 MiB for a list of per-window objects)."""
+    rec = RawRecording(
+        "S00", 70.0, ["a"], np.zeros((1, 8 * 25200), dtype=np.float32),
+        [Trial(i * 25200, (i + 1) * 25200, LEFT if i % 2 else RIGHT) for i in range(8)],
+    )
+    cfg = config_from_dict({"window_sizes_s": [0.1]})
+    build_split(cfg, [rec], 0.1)
+    tracemalloc.start()
+    try:
+        split = build_split(cfg, [rec], 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(len(p) for p in split.partitions().values()) > 50_000
+    assert peak < 10 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------

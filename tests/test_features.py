@@ -3,7 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from asad.data import DecisionWindow, LEFT, RIGHT
+from asad.data import LEFT, RIGHT, WindowSet
 from asad.features import (
     SsfMap,
     band_power,
@@ -22,7 +22,7 @@ from asad.pipeline import (
     _load_preprocessed,
     build_split,
     config_from_dict,
-    extract_partition,
+    partition_maps,
     resolve_montage,
     stage_extract,
     stage_preprocess,
@@ -50,10 +50,10 @@ def naive_band_power(segment, fs, band):
     return out
 
 
-def extract_window(win, layout, **features):
+def extract_window(samples, label, layout, **features):
     """One window's maps and label, through the batched extract_ssf."""
-    maps = extract_ssf(win.samples[None], layout, **features)[0]
-    return SimpleNamespace(maps=maps, label=win.label)
+    maps = extract_ssf(samples[None], layout, **features)[0]
+    return SimpleNamespace(maps=maps, label=label)
 
 
 def test_zero_signal_zero_power():
@@ -94,8 +94,7 @@ def test_band_without_bins_rejected(rng):
 def test_extract_single_map(rng):
     mont = make_random_montage(16, 0)
     layout = project_electrodes(mont)
-    win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
-    t = extract_window(win, layout, fs=70.0)
+    t = extract_window(rng.normal(size=(16, 70)), LEFT, layout, fs=70.0)
     assert t.maps.shape == (1, 32, 32)
     assert t.label == LEFT
 
@@ -104,8 +103,7 @@ def test_extract_identical_halves(rng):
     mont = make_random_montage(16, 1)
     layout = project_electrodes(mont)
     half = rng.normal(size=(16, 64))
-    win = DecisionWindow("s", np.concatenate([half, half], axis=1), RIGHT, (0, 0))
-    t = extract_window(win, layout, fs=70.0, sub_windows=2)
+    t = extract_window(np.concatenate([half, half], axis=1), RIGHT, layout, fs=70.0, sub_windows=2)
     assert t.maps.shape == (2, 32, 32)
     assert np.max(np.abs(t.maps[0] - t.maps[1])) < 1e-9
 
@@ -113,17 +111,17 @@ def test_extract_identical_halves(rng):
 def test_extract_bad_subdivision(rng):
     mont = make_random_montage(16, 2)
     layout = project_electrodes(mont)
-    win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
+    samples = rng.normal(size=(16, 70))
     with pytest.raises(ValueError, match="sub-windows"):
-        extract_window(win, layout, fs=70.0, sub_windows=3)  # 70 % 3 != 0
+        extract_window(samples, LEFT, layout, fs=70.0, sub_windows=3)  # 70 % 3 != 0
 
 
 def test_log_power_option(rng):
     mont = make_random_montage(16, 3)
     layout = project_electrodes(mont)
-    win = DecisionWindow("s", rng.normal(size=(16, 70)), LEFT, (0, 0))
-    plain = extract_window(win, layout, fs=70.0)
-    logged = extract_window(win, layout, fs=70.0, log_power=True)
+    samples = rng.normal(size=(16, 70))
+    plain = extract_window(samples, LEFT, layout, fs=70.0)
+    logged = extract_window(samples, LEFT, layout, fs=70.0, log_power=True)
     assert not np.allclose(plain.maps, logged.maps)
 
 
@@ -139,11 +137,11 @@ def test_subwindow_maps_track_full_window():
         t = np.arange(70) / 70.0
         phase = r.uniform(0, 2 * np.pi)
         sig = np.sin(2 * np.pi * 10 * t + phase)[None, :] + r.normal(0, 0.5, (16, 70))
-        return DecisionWindow("s", sig, LEFT, (0, 0))
+        return sig
 
-    def deviation(win):
-        subs = extract_window(win, layout, fs=70.0, sub_windows=10).maps
-        full = extract_window(win, layout, fs=70.0, sub_windows=1).maps[0]
+    def deviation(sig):
+        subs = extract_window(sig, LEFT, layout, fs=70.0, sub_windows=10).maps
+        full = extract_window(sig, LEFT, layout, fs=70.0, sub_windows=1).maps[0]
         return float(np.max(np.abs(subs.mean(axis=0) - full)))
 
     bound = 1.2 * max(deviation(draw(1000 + i)) for i in range(200))
@@ -206,8 +204,11 @@ def test_extract_batch_equals_single_windows(rng):
     n = EXTRACT_CHUNK + 3
     segs = rng.normal(size=(n, 16, 70))
     maps = extract_ssf(segs, layout, fs=70.0, sub_windows=5)
-    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(segs)]
-    chunked = extract_partition(wins, layout, 70.0, FeatureSection(sub_windows=5))
+    # the segments laid end to end as one recording, one window each
+    data = {"s": np.concatenate(segs, axis=1)}
+    wins = WindowSet(np.full(n, "s"), np.zeros(n, int), 70 * np.arange(n), np.full(n, LEFT), 70)
+    feat = FeatureSection(sub_windows=5)
+    chunked = np.concatenate(list(partition_maps(wins, data, layout, 70.0, feat)))
     assert maps.shape == chunked.shape == (n, 5, 32, 32)
     for i in range(n):
         single = extract_ssf(segs[i : i + 1], layout, fs=70.0, sub_windows=5)
@@ -238,14 +239,18 @@ def test_stage_extract_cache_matches_per_window_reference(tmp_path):
     vs = vmin + (np.arange(32) + 0.5) * (vmax - vmin) / 32
     uu, vv = np.meshgrid(us, vs, indexing="xy")
     query = np.column_stack([uu.ravel(), vv.ravel()])
-    wins = build_split(cfg, _load_preprocessed(tmp_path), 1.0).test
+    recs = _load_preprocessed(tmp_path)
+    data = {rec.subject_id: rec.data for rec in recs}
+    wins = build_split(cfg, recs, 1.0).test
     assert labels == [w.label for w in wins]
     nfft = fft_length(35)
     freqs = np.arange(nfft // 2 + 1) * 70.0 / nfft
     in_band = (freqs >= 8.0) & (freqs <= 13.0)
     for i, win in enumerate(wins):
         for s in range(2):
-            seg = np.asarray(win.samples[:, s * 35 : (s + 1) * 35], dtype=float)
+            _, start = win.origin
+            samples = data[win.subject_id][:, start : start + win.length]
+            seg = np.asarray(samples[:, s * 35 : (s + 1) * 35], dtype=float)
             spec = np.fft.rfft(seg, n=nfft, axis=1)
             power = (np.abs(spec[:, in_band]) ** 2 / (35 * 35)).mean(axis=1)
             ref = ct.evaluate(power, query, fill=0.0).reshape(32, 32)

@@ -7,7 +7,7 @@ import pytest
 
 from asad import network, pipeline
 from asad.cli import main
-from asad.data import LABEL_INDEX, LABELS, LEFT, DecisionWindow
+from asad.data import LABEL_INDEX, LABELS, LEFT, WindowSet
 from asad.features import load_tensor_cache, save_tensor_cache
 from asad.geometry import project_electrodes
 from asad.pipeline import (
@@ -15,8 +15,8 @@ from asad.pipeline import (
     ConfigError,
     FeatureSection,
     config_from_dict,
-    extract_partition,
     load_config,
+    partition_maps,
 )
 from asad.network import CnnConfig, TrainConfig, train_arrays
 
@@ -259,22 +259,26 @@ def test_feature_band_outside_preprocessing_band_exits_2(tmp_path):
 
 
 def test_extract_memory_does_not_grow_with_windows(rng):
-    """Extract's traced peak, less the float32 payload it returns, stays the
-    same for 1x, 2x and 4x the windows: the float64 work is per chunk."""
+    """Extract's traced peak stays the same for 1x, 2x and 4x the windows
+    when its chunks are consumed as they come: the float64 work is per
+    chunk."""
     layout = project_electrodes(make_random_montage(16, 21))
     feat = FeatureSection(sub_windows=5)
-    base = rng.normal(size=(8 * EXTRACT_CHUNK, 16, 70))
-    wins = [DecisionWindow("s", seg, LEFT, (0, i)) for i, seg in enumerate(base)]
-    extract_partition(wins[:1], layout, 70.0, feat)  # build the interpolator tables
+    n_all = 8 * EXTRACT_CHUNK
+    data = {"s": rng.normal(size=(16, 70 * n_all))}
+    wins = WindowSet(np.full(n_all, "s"), np.zeros(n_all, int), 70 * np.arange(n_all),
+                     np.full(n_all, LEFT), 70)
+    next(partition_maps(wins[:1], data, layout, 70.0, feat))  # build the interpolator tables
 
     def extra_bytes(n):
         tracemalloc.start()
         try:
-            maps = extract_partition(wins[:n], layout, 70.0, feat)
+            for _ in partition_maps(wins[:n], data, layout, 70.0, feat):
+                pass
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        return peak - maps.nbytes
+        return peak
 
     one, two, four = (extra_bytes(k * 2 * EXTRACT_CHUNK) for k in (1, 2, 4))
     assert two <= one + 2**20
