@@ -245,7 +245,11 @@ class SplitSet:
 class SynthConfig:
     """Synthetic cocktail-party EEG: per-channel Gaussian noise plus an
     alpha-band sinusoid whose amplitude is boosted by (1 + gain) on the
-    hemisphere matching the attended side."""
+    hemisphere matching the attended side.
+
+    As the pipeline's synth section it describes `n_subjects` recordings,
+    subject i drawn with seed `seed + i`, and the attended-envelope mixture
+    that the linear decoder's runs add to each (`envelope_*`)."""
 
     n_channels: int = 64
     duration_s: float = 240.0
@@ -255,14 +259,17 @@ class SynthConfig:
     noise_sigma: float = 1.0
     n_trials: int = 8
     seed: int = 0
-    # Extra noise-only channels appended after the montage channels; they
-    # stand in for mastoid references so the full preprocessing chain can
-    # run on synthetic data and drop them at the re-reference step.
-    reference_channels: tuple[str, ...] = ("M1", "M2")
+    n_subjects: int = 4
+    envelope_mix_gain: float = 0.0
+    envelope_max_lag_s: float = 0.25
 
-    def validate(self) -> "SynthConfig":
-        if self.n_channels < 1:
-            raise ValueError("n_channels must be >= 1")
+    def validate(self, montage: Montage, reference_channels: Iterable[str]) -> "SynthConfig":
+        """Check the ranges, and the names: the montage's first `n_channels`
+        electrodes and the reference channels appended after them."""
+        if self.n_subjects < 1 or self.n_channels < 1:
+            raise ValueError("n_subjects and n_channels must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.sample_rate <= 0 or self.duration_s <= 0:
             raise ValueError("sample_rate and duration_s must be positive")
         if not (0 < self.alpha_center < self.sample_rate / 2):
@@ -271,12 +278,19 @@ class SynthConfig:
             raise ValueError("lateralization_gain must be >= 0")
         if self.noise_sigma < 0:
             raise ValueError("noise_sigma must be >= 0")
+        if not (0 <= self.envelope_mix_gain < math.inf and 0 <= self.envelope_max_lag_s < math.inf):
+            raise ValueError("envelope_mix_gain and envelope_max_lag_s must be finite and >= 0")
         if self.n_trials < 1:
             raise ValueError("n_trials must be >= 1")
         total = self.duration_s * self.sample_rate
         per_trial = total / self.n_trials
         if abs(total - round(total)) > 1e-9 or abs(per_trial - round(per_trial)) > 1e-9:
             raise ValueError("duration must divide into n_trials equal whole-sample trials")
+        if self.n_channels > len(montage):
+            raise ValueError(f"n_channels={self.n_channels} exceeds montage size {len(montage)}")
+        names = list(montage.names[: self.n_channels]) + list(reference_channels)
+        if len(set(names)) != len(names):
+            raise ValueError("reference channel names collide with montage names")
         return self
 
 
@@ -655,21 +669,16 @@ def hemisphere_signs(montage: Montage) -> np.ndarray:
     return np.where(x > MIDLINE_TOL, 1, np.where(x < -MIDLINE_TOL, -1, 0))
 
 
-def synth_recording(
-    cfg: SynthConfig, montage: Montage, subject_id: str = "synth-0"
-) -> RawRecording:
-    """Deterministic synthetic recording; see SynthConfig for the model."""
-    cfg.validate()
-    if cfg.n_channels > len(montage):
-        raise ValueError(
-            f"n_channels={cfg.n_channels} exceeds montage size {len(montage)}"
-        )
+def synth_recording(cfg: SynthConfig, montage: Montage, subject_id: str = "synth-0",
+                    reference_channels: Iterable[str] = ("M1", "M2")) -> RawRecording:
+    """Deterministic synthetic recording; see SynthConfig for the model. The
+    reference channels are noise-only rows after the montage channels: they
+    stand in for mastoid references, which the re-reference step drops."""
+    cfg.validate(montage, reference_channels)
     rng = np.random.default_rng(cfg.seed)
     n_total = _round_half_up(cfg.duration_s * cfg.sample_rate)
     per_trial = n_total // cfg.n_trials
-    names = list(montage.names[: cfg.n_channels]) + list(cfg.reference_channels)
-    if len(set(names)) != len(names):
-        raise ValueError("reference channel names collide with montage names")
+    names = list(montage.names[: cfg.n_channels]) + list(reference_channels)
     n_ch = len(names)
 
     labels = [LEFT, RIGHT] * ((cfg.n_trials + 1) // 2)

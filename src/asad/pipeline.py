@@ -25,7 +25,7 @@ import shutil
 import sys
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -97,36 +97,6 @@ class ConfigError(ValueError):
     """Invalid configuration or usage; the CLI exits with code 2."""
 
 
-def _section(cls, raw: dict | None, name: str):
-    raw = dict(raw or {})
-    known = {f.name for f in fields(cls)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in config section {name!r}")
-    for key in ("band", "fc_sizes", "ratios"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"bad config section {name!r}: {exc}") from exc
-
-
-@dataclass
-class SynthSection:
-    n_subjects: int = 4
-    n_channels: int = 64
-    duration_s: float = 240.0
-    sample_rate: float = 128.0
-    alpha_center: float = 10.0
-    lateralization_gain: float = 1.0
-    noise_sigma: float = 1.0
-    n_trials: int = 8
-    seed: int = 0
-    envelope_mix_gain: float = 0.0
-    envelope_max_lag_s: float = 0.25
-
-
 @dataclass
 class FeatureSection:
     band: tuple[float, float] = (8.0, 13.0)
@@ -167,7 +137,7 @@ class PipelineConfig:
     window_sizes_s: tuple[float, ...] = (0.1, 1.0, 2.0, 5.0, 10.0)
     overlap_fraction: float = 0.5
     models: tuple[str, ...] = ("cnn", "linear")
-    synth: SynthSection = field(default_factory=SynthSection)
+    synth: SynthConfig = field(default_factory=SynthConfig)
     features: FeatureSection = field(default_factory=FeatureSection)
     split: SplitSection = field(default_factory=SplitSection)
     baseline: BaselineSection = field(default_factory=BaselineSection)
@@ -176,25 +146,38 @@ class PipelineConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
 
     def validate(self) -> "PipelineConfig":
-        if not self.window_sizes_s:
-            raise ConfigError("window_sizes_s must not be empty")
-        if any(w <= 0 for w in self.window_sizes_s):
-            raise ConfigError("window sizes must be positive")
-        if not (0.0 <= self.overlap_fraction < 1.0):
-            raise ConfigError("overlap_fraction must lie in [0, 1)")
-        bad = [m for m in self.models if m not in ("cnn", "linear")]
-        if bad:
-            raise ConfigError(f"unknown model(s) {bad}; choose from 'cnn', 'linear'")
-        if not self.models:
-            raise ConfigError("models must not be empty")
-        longest = max(self.window_sizes_s)
-        block = _round_half_up(self.split.block_s * self.target_rate)
-        if block < _round_half_up(longest * self.target_rate):
-            raise ConfigError(
-                f"split.block_s = {self.split.block_s:g} s is shorter than the longest "
-                f"window ({longest:g} s); a split block must hold a whole window"
-            )
         try:
+            if not self.window_sizes_s:
+                raise ValueError("window_sizes_s must not be empty")
+            if any(w <= 0 for w in self.window_sizes_s):
+                raise ValueError("window sizes must be positive")
+            if not (0.0 <= self.overlap_fraction < 1.0):
+                raise ValueError("overlap_fraction must lie in [0, 1)")
+            bad = [m for m in self.models if m not in ("cnn", "linear")]
+            if bad:
+                raise ValueError(f"unknown model(s) {bad}; choose from 'cnn', 'linear'")
+            if not self.models:
+                raise ValueError("models must not be empty")
+            if self.seeds.runs < 1:
+                raise ValueError(f"seeds.runs = {self.seeds.runs} must be >= 1")
+            if self.seeds.base < 0:
+                raise ValueError(f"seeds.base = {self.seeds.base} must be >= 0")
+            longest = max(self.window_sizes_s)
+            block = _round_half_up(self.split.block_s * self.target_rate)
+            if block < _round_half_up(longest * self.target_rate):
+                raise ValueError(
+                    f"split.block_s = {self.split.block_s:g} s is shorter than the longest "
+                    f"window ({longest:g} s); a split block must hold a whole window"
+                )
+            try:
+                mont = resolve_montage(self)
+            except (OSError, KeyError) as exc:  # an unreadable or malformed montage file
+                raise ValueError(f"montage {self.montage!r}: {exc}") from exc
+            if not self.recordings_dir:
+                try:
+                    self.synth.validate(mont, self.reference_channels)
+                except ValueError as exc:
+                    raise ValueError(f"synth: {exc}") from exc
             # the preprocessing band lies below target Nyquist, and the
             # feature band must lie inside it
             self.preproc_config().validate()
@@ -219,68 +202,98 @@ class PipelineConfig:
                 self._validate_baseline()
             self.cnn.validate()
             self.train.validate()
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
         return self
 
     def _validate_baseline(self) -> None:
         """The linear decoder's lambda grid, lag span and band."""
         grid, max_lag = self.baseline.lambda_grid, self.baseline.max_lag_s
-        if not (
-            isinstance(grid, (list, tuple))
-            and grid
-            and all(isinstance(v, (int, float)) and 0 <= v < np.inf for v in grid)
-        ):
+        if not (grid and all(0 <= v < np.inf for v in grid)):
             raise ValueError(
-                f"baseline.lambda_grid {grid!r} must be a non-empty list of finite "
+                f"baseline.lambda_grid {list(grid)!r} must be a non-empty list of finite "
                 f"values >= 0"
             )
-        if not (isinstance(max_lag, (int, float)) and 0 <= max_lag < np.inf):
+        if not (0 <= max_lag < np.inf):
             raise ValueError(f"baseline.max_lag_s {max_lag!r} must be finite and >= 0")
         try:
             self.preproc_config(self.baseline.band).validate()
-        except (TypeError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(f"baseline.band {self.baseline.band!r}: {exc}") from exc
 
     def preproc_config(self, band: tuple[float, float] | None = None) -> PreprocConfig:
         return PreprocConfig(
-            reference_channels=list(self.reference_channels),
-            band=tuple(band or self.band),
+            reference_channels=self.reference_channels,
+            band=band or self.band,
             target_rate=self.target_rate,
             filter_order=self.filter_order,
         )
 
-    def to_dict(self) -> dict:
-        return asdict(self)
+
+def _accepts(default, value) -> bool:
+    """Whether a JSON value fits a field with this default: a float field
+    also takes an int, no number field takes true or false, a tuple or list
+    field takes a list whose items fit the default's first item, and an
+    optional field (default None) takes anything."""
+    if isinstance(default, bool) or isinstance(value, bool):
+        return isinstance(default, bool) and isinstance(value, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    if isinstance(default, (list, tuple)):
+        return isinstance(value, list) and all(_accepts(default[0], v) for v in value)
+    return default is None or isinstance(value, type(default))
+
+
+def _kind(default) -> str:
+    """What a message calls the JSON value that a field with this default takes."""
+    if isinstance(default, (list, tuple)):
+        return f"a list, each item {_kind(default[0])}"
+    names = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+    return names[type(default)]
+
+
+def _build(cls, raw, prefix: str = ""):
+    """The dataclass `cls` from a JSON object. Unknown keys are refused;
+    every value must fit its field's default (`_accepts`) and is kept as
+    given, except that a list for a tuple field becomes a tuple and the
+    object for a section field is built the same way."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {prefix.rstrip('.') or 'document'} must be a JSON object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = sorted(prefix + key for key in raw if key not in known)
+    if unknown:
+        raise ConfigError(f"unknown config key(s) {unknown}")
+    kwargs = {}
+    for key, value in raw.items():
+        f = known[key]
+        default = f.default if f.default_factory is MISSING else f.default_factory()
+        if is_dataclass(default):
+            value = _build(type(default), value, f"{prefix}{key}.")
+        elif not _accepts(default, value):
+            raise ConfigError(f"{prefix}{key} = {value!r} must be {_kind(default)}")
+        elif isinstance(default, tuple):
+            value = tuple(value)
+        kwargs[key] = value
+    return cls(**kwargs)
 
 
 def config_from_dict(raw: dict) -> PipelineConfig:
-    raw = dict(raw)
-    sections = {
-        "synth": SynthSection,
-        "features": FeatureSection,
-        "split": SplitSection,
-        "baseline": BaselineSection,
-        "seeds": SeedsSection,
-        "cnn": CnnConfig,
-        "train": TrainConfig,
-    }
-    kwargs: dict = {}
-    for name, cls in sections.items():
-        if name in raw:
-            kwargs[name] = _section(cls, raw.pop(name), name)
-    known = {f.name for f in fields(PipelineConfig)}
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown top-level config key(s): {sorted(unknown)}")
-    for key in ("band", "window_sizes_s", "models"):
-        if key in raw and isinstance(raw[key], list):
-            raw[key] = tuple(raw[key])
-    cfg = PipelineConfig(**raw, **kwargs)
-    # the network consumes one input channel per sub-window map
-    cfg.cnn = replace(
-        cfg.cnn, in_channels=cfg.features.sub_windows, in_size=cfg.features.grid_n
-    )
+    cfg = _build(PipelineConfig, raw)
+    # Derived fields may be given only with the value the run uses: the
+    # network takes one input channel per sub-window map of grid_n x grid_n
+    # cells, and run k trains with seed seeds.base + k.
+    for section, key, source, value in (
+        ("cnn", "in_channels", "features.sub_windows", cfg.features.sub_windows),
+        ("cnn", "in_size", "features.grid_n", cfg.features.grid_n),
+        ("train", "seed", "seeds.base (run k trains with seeds.base + k)", 0),
+    ):
+        given = raw.get(section, {}).get(key, value)
+        if given != value:
+            raise ConfigError(
+                f"{section}.{key} = {given!r} is derived from {source} and must be "
+                f"{value!r} or left out"
+            )
+        setattr(getattr(cfg, section), key, value)
     return cfg.validate()
 
 
@@ -381,18 +394,7 @@ def stage_synth(cfg: PipelineConfig, out_dir: Path) -> None:
     with stage_output(out_dir, *names) as (rec_tmp, *env_tmps):
         for i in range(s.n_subjects):
             sid = f"S{i:02d}"
-            scfg = SynthConfig(
-                n_channels=s.n_channels,
-                duration_s=s.duration_s,
-                sample_rate=s.sample_rate,
-                alpha_center=s.alpha_center,
-                lateralization_gain=s.lateralization_gain,
-                noise_sigma=s.noise_sigma,
-                n_trials=s.n_trials,
-                seed=s.seed + i,
-                reference_channels=tuple(cfg.reference_channels),
-            )
-            rec = synth_recording(scfg, mont, subject_id=sid)
+            rec = synth_recording(replace(s, seed=s.seed + i), mont, sid, cfg.reference_channels)
             if want_env:
                 env_l = synth_envelope(
                     n_samples, s.sample_rate, f"{sid}.left",
@@ -465,7 +467,7 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
     windows = WindowSet.concat([segment_windows(rec, window_s, cfg.overlap_fraction) for rec in recs])
     return stratified_split(
         windows,
-        ratios=tuple(cfg.split.ratios),
+        ratios=cfg.split.ratios,
         seed=cfg.seeds.base,
         block_s=cfg.split.block_s,
         sample_rate=cfg.target_rate,
@@ -600,7 +602,7 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
                 m, y = train_weights(train, env_l, env_r, n_lags)
                 decoder, val_acc = select_lambda(
                     (eeg, m, y), (env_l, env_r, split.validation), n_lags,
-                    tuple(cfg.baseline.lambda_grid),
+                    cfg.baseline.lambda_grid,
                 )
                 test_rows = test.rows(n_lags)
                 s_hat = reconstruct(decoder, eeg)
@@ -728,7 +730,7 @@ def run_experiment(cfg: PipelineConfig, out_dir: str | Path) -> Path:
     name, leaving no partially written stage directory behind."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    atomic_write_text(out / "config.json", dump_header(cfg.to_dict()))
+    atomic_write_text(out / "config.json", dump_header(asdict(cfg)))
     for name in STAGES:
         if name == "synth" and cfg.recordings_dir:
             continue

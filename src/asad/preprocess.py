@@ -17,8 +17,9 @@ from scipy import signal as sps
 
 from .data import RawRecording, Trial, _round_half_up
 
-# Channels filtered and resampled at a time by `preprocess_recording`: every
-# step after the re-reference treats each channel on its own.
+# Channels filtered, resampled and normalized at a time by
+# `preprocess_recording`: every step after the re-reference treats each
+# channel on its own.
 CHANNEL_BLOCK = 16
 
 
@@ -103,19 +104,15 @@ def _zero_phase(sos: np.ndarray, x: np.ndarray, pad: int) -> np.ndarray:
     return np.ascontiguousarray(y[..., pad : pad + n])
 
 
-def _bandpass_trials(data: np.ndarray, trials: list[Trial], sos: np.ndarray, pad: int) -> None:
-    """Filter each trial's span of the float64 rows `data` in place."""
-    for tr in trials:
-        data[:, tr.start : tr.end] = _zero_phase(sos, data[:, tr.start : tr.end], pad)
-
-
 def bandpass(
     rec: RawRecording, band: tuple[float, float] = (8.0, 13.0), order: int = 4
 ) -> RawRecording:
     """Zero-phase Butterworth bandpass applied independently per trial."""
     sos = _design_bandpass(band, order, rec.sample_rate)
+    pad = _impulse_settle_len(sos, rec.sample_rate)
     data = rec.data.astype(float)
-    _bandpass_trials(data, rec.trials, sos, _impulse_settle_len(sos, rec.sample_rate))
+    for tr in rec.trials:
+        data[:, tr.start : tr.end] = _zero_phase(sos, data[:, tr.start : tr.end], pad)
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
@@ -149,27 +146,25 @@ def resample_series(x: np.ndarray, fs: float, target_rate: float) -> np.ndarray:
     return np.ascontiguousarray(y[..., off : off + n_out])
 
 
-def _resampled_trials(trials: list[Trial], ratio: float) -> list[Trial]:
-    return [
-        Trial(_round_half_up(t.start * ratio), _round_half_up(t.end * ratio), t.label)
-        for t in trials
-    ]
-
-
 def resample(rec: RawRecording, target_rate: float) -> RawRecording:
     """Resample the whole recording; trial boundaries rescale by the same
     ratio and are re-validated."""
     if target_rate <= 0:
         raise ValueError("target_rate must be positive")
     data = resample_series(np.asarray(rec.data, dtype=float), rec.sample_rate, target_rate)
-    trials = _resampled_trials(rec.trials, target_rate / rec.sample_rate)
+    ratio = target_rate / rec.sample_rate
+    trials = [
+        Trial(_round_half_up(t.start * ratio), _round_half_up(t.end * ratio), t.label)
+        for t in rec.trials
+    ]
     return replace(rec, sample_rate=target_rate, data=data, trials=trials).validate()
 
 
-def _normalize_trials(data: np.ndarray, trials: list[Trial], channels: list[str]) -> None:
-    """Shift/scale each (channel, trial) segment of the float64 rows `data`
-    in place to mean 0, variance 1."""
-    for ti, tr in enumerate(trials):
+def normalize_trial(rec: RawRecording) -> RawRecording:
+    """Shift/scale each (channel, trial) segment to mean 0, variance 1
+    (population variance). Samples outside any trial are left untouched."""
+    data = rec.data.astype(float)
+    for ti, tr in enumerate(rec.trials):
         seg = data[:, tr.start : tr.end]
         if seg.shape[1] < 2:
             raise ValueError(f"trial {ti} has fewer than 2 samples")
@@ -178,17 +173,10 @@ def _normalize_trials(data: np.ndarray, trials: list[Trial], channels: list[str]
         dead = np.flatnonzero(var[:, 0] <= 0.0)
         if dead.size:
             raise ValueError(
-                f"zero-variance segment: channel {channels[dead[0]]!r} in trial {ti}"
+                f"zero-variance segment: channel {rec.channels[dead[0]]!r} in trial {ti}"
             )
         seg -= mean
         seg /= np.sqrt(var)
-
-
-def normalize_trial(rec: RawRecording) -> RawRecording:
-    """Shift/scale each (channel, trial) segment to mean 0, variance 1
-    (population variance). Samples outside any trial are left untouched."""
-    data = rec.data.astype(float)
-    _normalize_trials(data, rec.trials, rec.channels)
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
@@ -196,27 +184,22 @@ def preprocess_recording(rec: RawRecording, cfg: PreprocConfig) -> RawRecording:
     """Full chain: re-reference, bandpass, resample, normalize.
 
     After the re-reference every step treats each channel on its own, so
-    bandpass and resample run CHANNEL_BLOCK channels at a time into one
-    float64 output, which is then normalized in place. The bytes are those
-    of the four steps applied to the whole recording one after another;
-    the float64 work beyond the output stays a few channel blocks.
+    the last three run on one CHANNEL_BLOCK of channels at a time, each
+    block written into one float64 output at the target rate. The bytes
+    are those of the four steps applied to the whole recording one after
+    another; the float64 work beyond the output stays a few channel blocks.
     """
     cfg.validate()
-    if cfg.band[1] * 2 >= cfg.target_rate:
-        raise ValueError("target_rate must exceed twice the band high edge")
     ref = rereference(rec, cfg.reference_channels)
-    fs = ref.sample_rate
-    sos = _design_bandpass(cfg.band, cfg.filter_order, fs)
-    pad = _impulse_settle_len(sos, fs)
     data = None
     for lo in range(0, ref.n_channels, CHANNEL_BLOCK):
-        block = ref.data[lo : lo + CHANNEL_BLOCK].astype(float)
-        _bandpass_trials(block, ref.trials, sos, pad)
-        block = resample_series(block, fs, cfg.target_rate)
+        rows = slice(lo, lo + CHANNEL_BLOCK)
+        block = replace(ref, channels=ref.channels[rows], data=ref.data[rows])
+        # nested, so each step's input is freed as soon as the next returns
+        block = normalize_trial(
+            resample(bandpass(block, cfg.band, cfg.filter_order), cfg.target_rate)
+        )
         if data is None:
-            data = np.empty((ref.n_channels, block.shape[1]))
-        data[lo : lo + CHANNEL_BLOCK] = block
-    trials = _resampled_trials(ref.trials, cfg.target_rate / fs)
-    out = replace(ref, sample_rate=cfg.target_rate, data=data, trials=trials).validate()
-    _normalize_trials(out.data, out.trials, out.channels)
-    return out
+            data = np.empty((ref.n_channels, block.n_samples))
+        data[rows] = block.data
+    return replace(block, channels=ref.channels, data=data).validate()

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import shutil
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,7 @@ from asad.pipeline import (
     EXTRACT_CHUNK,
     ConfigError,
     FeatureSection,
+    PipelineConfig,
     config_from_dict,
     load_config,
     partition_maps,
@@ -33,6 +36,8 @@ TINY = {
     "train": {"max_epochs": 2},
     "seeds": {"base": 7, "runs": 1},
 }
+
+DEMO = Path(__file__).resolve().parent.parent / "configs" / "synthetic-demo.json"
 
 
 def _write_config(tmp_path, overrides=None):
@@ -80,6 +85,109 @@ def test_cnn_input_channels_follow_sub_windows():
     assert cfg.cnn.in_channels == 2
 
 
+def _wrong_type_overrides() -> list[str]:
+    """One override per int, float, tuple and bool field of the config and
+    its sections, each with a value of the wrong JSON type."""
+    wrong = {bool: "1", int: "1.5", float: '"x"', tuple: "1.0"}
+    out = []
+
+    def walk(cls, prefix):
+        for f in dataclasses.fields(cls):
+            default = f.default if f.default_factory is dataclasses.MISSING else f.default_factory()
+            if dataclasses.is_dataclass(default):
+                walk(type(default), f"{prefix}{f.name}.")
+            elif type(default) in wrong:
+                out.append(f"{prefix}{f.name}={wrong[type(default)]}")
+
+    walk(PipelineConfig, "")
+    return out
+
+
+@pytest.mark.parametrize("override", _wrong_type_overrides())
+def test_wrong_json_type_exits_2_before_anything_is_written(tmp_path, capsys, override):
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(DEMO), "--out", str(out), "--set", override]) == 2
+    assert override.split("=")[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_wrong_type_overrides_cover_every_section():
+    paths = {o.split("=")[0] for o in _wrong_type_overrides()}
+    assert {p.split(".")[0] for p in paths if "." in p} == {
+        "synth", "features", "split", "baseline", "seeds", "cnn", "train"
+    }
+    assert {"filter_order", "overlap_fraction", "window_sizes_s", "features.log_power",
+            "baseline.lambda_grid", "synth.n_subjects"} <= paths
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("window_sizes_s=1.0", "window_sizes_s = 1.0 must be a list"),
+        ('window_sizes_s=[1.0,true]', "window_sizes_s = [1.0, True] must be a list, each item a number"),
+        ('models=["cnn",1]', "models = ['cnn', 1] must be a list, each item a string"),
+        ("channels=5", "not iterable"),
+        ('overlap_fraction="x"', "overlap_fraction = 'x' must be a number"),
+        ("split.ratios=0.8", "split.ratios = 0.8 must be a list"),
+        ("seeds.base=-1", "seeds.base = -1 must be >= 0"),
+        ("seeds.runs=0", "seeds.runs = 0 must be >= 1"),
+        ("features.sub_windows=2.0", "features.sub_windows = 2.0 must be an integer"),
+        ("train.max_epochs=2.5", "train.max_epochs = 2.5 must be an integer"),
+        ('synth.n_subjects="2"', "synth.n_subjects = '2' must be an integer"),
+        ("synth.n_subjects=0", "n_subjects and n_channels must be >= 1"),
+        ("synth.n_trials=7", "n_trials equal whole-sample trials"),
+        ("synth.alpha_center=80", "alpha_center must lie inside"),
+        ("synth.noise_sigma=-1", "noise_sigma must be >= 0"),
+        ("synth.n_channels=100", "n_channels=100 exceeds montage size 64"),
+        ('channels=["Cz","XX"]', "unknown montage electrode 'XX'"),
+        ("montage=nofile.json", "montage file nofile.json does not exist"),
+        ('reference_channels=["Cz"]', "reference channel names collide"),
+        ("cnn.in_size=16", "derived from features.grid_n"),
+        ("cnn.in_channels=3", "derived from features.sub_windows"),
+        ("train.seed=99", "derived from seeds.base"),
+    ],
+)
+def test_bad_override_exits_2_before_anything_is_written(tmp_path, capsys, override, message):
+    out = tmp_path / "o"
+    code = main(["run", "--config", str(DEMO), "--out", str(out),
+                 "--set", 'models=["cnn"]', "--set", override])
+    assert code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, source",
+    [("cnn", "in_channels", "features.sub_windows"), ("cnn", "in_size", "features.grid_n"),
+     ("train", "seed", "seeds.base")],
+)
+def test_derived_field_takes_only_the_value_the_run_uses(section, key, source):
+    raw = {**TINY, "features": {"sub_windows": 2, "grid_n": 16}}
+    cfg = config_from_dict(raw)
+    used = getattr(getattr(cfg, section), key)
+    assert used == {"in_channels": 2, "in_size": 16, "seed": 0}[key]
+    given = {**raw, section: {**raw.get(section, {}), key: used}}
+    assert config_from_dict(given) == cfg
+    with pytest.raises(ConfigError, match=f"{section}.{key} = {used + 2} is derived from {source}"):
+        config_from_dict({**raw, section: {**raw.get(section, {}), key: used + 2}})
+
+
+def test_synth_section_unchecked_with_recordings_dir():
+    bad_synth = {**TINY["synth"], "n_trials": 7}
+    with pytest.raises(ConfigError, match="synth: duration"):
+        config_from_dict({**TINY, "synth": bad_synth})
+    cfg = config_from_dict({**TINY, "synth": bad_synth, "recordings_dir": "elsewhere"})
+    assert cfg.synth.n_trials == 7
+
+
+def test_builder_keeps_numbers_as_given_and_makes_tuples():
+    cfg = config_from_dict({**TINY, "target_rate": 70, "baseline": {"lambda_grid": [1, 10.0]}})
+    assert type(cfg.target_rate) is int and cfg.target_rate == 70
+    assert cfg.baseline.lambda_grid == (1, 10.0)
+    assert isinstance(cfg.window_sizes_s, tuple) and isinstance(cfg.split.ratios, tuple)
+    assert isinstance(cfg.reference_channels, list)
+
+
 # ---------------------------------------------------------------------------
 # full pipeline behavior (session-scoped tiny workspace)
 # ---------------------------------------------------------------------------
@@ -105,6 +213,14 @@ def test_run_produces_expected_files(tiny_workspace):
         "report/report.md", "report/paired_tests.csv",
     ):
         assert (out / rel).exists(), rel
+
+
+def test_workspace_config_reloads_to_an_equal_config(tiny_workspace):
+    cfg_path, out = tiny_workspace
+    saved = out / "config.json"
+    cfg = load_config(saved)
+    assert cfg == load_config(cfg_path)
+    assert pipeline.dump_header(dataclasses.asdict(cfg)) == saved.read_text()
 
 
 def test_metrics_csv_schema(tiny_workspace):
