@@ -35,6 +35,16 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
 - The split (`kernels`): `build_split` of 1 and of 16 48-min subjects at
   70 Hz (8 trials each, one channel: windows hold no samples), 0.1 s
   windows at 50 % overlap, the ROADMAP's paper scale.
+- The trainer (`kernels`), for the default CNN in float32 at batch 64
+  with 1 and 5 input channels (`_1ch`, `_5ch`): `_im2col` with the conv
+  product, the conv `dW` einsum, the batch-norm forward (with the ReLU)
+  and backward, `_pool` and `_pool_adjoint`, the three fc1 products
+  (forward, weight gradient, input gradient), `rmsprop_step` on every
+  trained tensor, the whole `loss_and_grad`, and one `train_arrays` epoch
+  on 1,400 windows (140 validation windows). The batch-norm rows repeat
+  the statements of `network.forward` and `network.loss_and_grad`, which
+  have no function of their own; the backward row includes a copy of its
+  input, since it works in place.
 
 `--paper-scale` instead runs `preprocess_recording` once on one synthetic
 48-min subject (66 channels at 128 Hz, float32) and reports its time and
@@ -80,7 +90,20 @@ from asad.data import (  # noqa: E402
 from asad.features import band_power, extract_ssf, load_tensor_cache  # noqa: E402
 from asad.geometry import project_electrodes  # noqa: E402
 from asad.interpolate import interpolator  # noqa: E402
-from asad.network import CnnConfig, init_params, predict_proba  # noqa: E402
+from asad.network import (  # noqa: E402
+    TRAINED,
+    CnnConfig,
+    TrainConfig,
+    _im2col,
+    _pool,
+    _pool_adjoint,
+    forward,
+    init_params,
+    loss_and_grad,
+    predict_proba,
+    rmsprop_step,
+    train_arrays,
+)
 from asad.pipeline import (  # noqa: E402
     FeatureSection,
     build_split,
@@ -284,11 +307,97 @@ def cache_kernels(root: Path) -> dict[str, tuple[str, object]]:
     }
 
 
+def _bn_relu(conv: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
+    """The train-mode batch norm and ReLU of `network.forward`, in place on
+    the (B, F, H, W) conv buffer, which becomes xhat."""
+    xhat = conv
+    relu1 = np.empty_like(xhat)
+    mu = xhat.mean(axis=(0, 2, 3))
+    xhat -= mu[None, :, None, None]
+    var = np.square(xhat, out=relu1).mean(axis=(0, 2, 3))
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(gamma[None, :, None, None], xhat, out=relu1)
+    relu1 += beta[None, :, None, None]
+    np.maximum(relu1, 0.0, out=relu1)
+    return relu1
+
+
+def _bn_backward(dbn: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: np.ndarray):
+    """The batch-norm backward of `network.loss_and_grad`, in place on dbn."""
+    b, _, h, w = dbn.shape
+    tmp = np.multiply(dbn, xhat)
+    g_gamma, g_beta = tmp.sum(axis=(0, 2, 3)), dbn.sum(axis=(0, 2, 3))
+    dxhat = dbn
+    dxhat *= gamma[None, :, None, None]
+    n = b * h * w
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
+    dconv = dxhat
+    dconv *= n
+    dconv -= sum_dxhat
+    dconv -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+    dconv *= inv_std[None, :, None, None] / n
+    return dconv, g_gamma, g_beta
+
+
+def trainer_kernels() -> dict[str, tuple[str, object]]:
+    """The training step's layers at batch 64, float32, 1 and 5 input channels."""
+    kernels = {}
+    tc = TrainConfig(max_epochs=1, early_stop_patience=1)
+    for ch in (1, 5):
+        cfg = CnnConfig(in_channels=ch)
+        rng = np.random.default_rng(20 + ch)
+        params = init_params(cfg, rng)
+        x = rng.normal(size=(64, ch, 32, 32)).astype(np.float32)
+        y = rng.integers(0, 2, size=64)
+        _, cache = forward(cfg, params, x, mode="train", rng=np.random.default_rng(1))
+        _, grads, _ = loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(1))
+        trained = {k: grads[k] for k in TRAINED}
+        _, state = rmsprop_step(params, trained, None, 0, tc)
+        cols, relu1, xhat = cache["cols"], cache["relu1"], cache["xhat"]
+        conv_w, f = params["conv_w"].reshape(cfg.conv_filters, -1), cfg.conv_filters
+        conv = np.matmul(conv_w, cols).reshape(64, f, 32, 32)
+        dpooled = rng.normal(size=(64, f, 16, 16)).astype(np.float32)
+        dbn = _pool_adjoint(dpooled, relu1)
+        dconv = rng.normal(size=(64, f, 32 * 32)).astype(np.float32)
+        x_epoch = rng.normal(size=(1540, ch, 32, 32)).astype(np.float32)
+        y_epoch = rng.integers(0, 2, size=1540)
+        what = f"batch 64 x {ch} x 32 x 32, default CNN, float32"
+        kernels.update({
+            f"im2col_conv_{ch}ch": (what, lambda x=x, w=conv_w, b=params["conv_b"]:
+                                    np.matmul(w, _im2col(x)) + b[None, :, None]),
+            f"conv_dw_{ch}ch": (what, lambda d=dconv, c=cols: np.einsum("bfn,bcn->fc", d, c)),
+            f"bn_relu_forward_{ch}ch": (what, lambda c=conv, p=params, e=cfg.bn_epsilon:
+                                        _bn_relu(c, p["bn_gamma"], p["bn_beta"], e)),
+            f"bn_backward_{ch}ch": (what, lambda d=dbn, xh=xhat, p=params, s=cache["inv_std"]:
+                                    _bn_backward(d.copy(), xh, p["bn_gamma"], s)),
+            f"pool_{ch}ch": (what, lambda r=relu1: _pool(r)),
+            f"pool_adjoint_{ch}ch": (what, lambda d=dpooled, r=relu1: _pool_adjoint(d, r)),
+            f"rmsprop_step_{ch}ch": (what + ", every trained tensor, state given",
+                                     lambda p=params, g=trained, s=state:
+                                     rmsprop_step(p, g, s, 1, tc)),
+            f"loss_and_grad_{ch}ch": (what, lambda p=params, x=x, y=y, cfg=cfg:
+                                      loss_and_grad(cfg, p, x, y, rng=np.random.default_rng(1))),
+            f"train_epoch_{ch}ch": (f"1,400 train + 140 validation windows x {ch} x 32 x 32, "
+                                    f"one epoch", lambda cfg=cfg, x=x_epoch, y=y_epoch:
+                                    train_arrays(cfg, tc, x[:1400], y[:1400], x[1400:], y[1400:])),
+        })
+    flat, fc1_w, fc1_b = cache["flat"], params["fc1_w"], params["fc1_b"]
+    dfc1 = np.random.default_rng(3).normal(size=(64, fc1_w.shape[0])).astype(np.float32)
+    kernels["fc1_products"] = (
+        f"batch 64, {fc1_w.shape[1]:,} -> {fc1_w.shape[0]} float32: forward, dW and dflat",
+        lambda: (flat @ fc1_w.T + fc1_b, dfc1.T @ flat, dfc1 @ fc1_w),
+    )
+    return kernels
+
+
 def kernel_table(repeats: int) -> dict:
     table = {}
     root = Path(tempfile.mkdtemp(prefix="bench-kernels-"))
     try:
-        for name, (what, fn) in {**cnn_kernels(), **split_kernels(), **cache_kernels(root)}.items():
+        kernels = {**cnn_kernels(), **split_kernels(), **cache_kernels(root), **trainer_kernels()}
+        for name, (what, fn) in kernels.items():
             fn()  # warm-up: imports, interpolator tables
             table[name] = {
                 "inputs": what,

@@ -367,7 +367,7 @@ def add_envelope_mixture(
     rng = np.random.default_rng(seed)
     kernels = rng.normal(0.0, 1.0, size=(rec.n_channels, max_lag + 1))
     kernels *= mix_gain / math.sqrt(max_lag + 1)
-    data = rec.data.astype(float).copy()
+    data = rec.data.astype(float)  # astype copies: the input is left as it is
     for tr in rec.trials:
         env = env_left if tr.label == LEFT else env_right
         seg = env.samples[tr.start : tr.end]

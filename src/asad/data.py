@@ -21,6 +21,7 @@ head-centered positions (+x right ear, +y nasion, +z vertex). Canonical
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -43,6 +44,7 @@ LABELS = (LEFT, RIGHT)
 LABEL_INDEX = {LEFT: 0, RIGHT: 1}
 
 MIDLINE_TOL = 1e-9  # |x| below this counts as neither hemisphere
+RECORDING_CHUNK = 16  # channels cast to float32 and written at a time by save_recording
 
 
 def _round_half_up(x: float) -> int:
@@ -73,9 +75,12 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
+HEADER_JSON = json.JSONEncoder(indent=2, sort_keys=True)
+
+
 def dump_header(obj: dict) -> str:
     """Canonical JSON encoding used by every container in this package."""
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    return HEADER_JSON.encode(obj) + "\n"
 
 
 @dataclass
@@ -323,7 +328,9 @@ def write_container_chunks(path: str | Path, kind: str, header: dict, chunks: It
     header_path, data_path = container_paths(path)
     # each array's own buffer is written, without a bytes copy of it
     atomic_write_chunks(data_path, (np.ascontiguousarray(c, dtype="<f4").data for c in chunks))
-    atomic_write_text(header_path, dump_header({**header, "format_version": FORMAT_VERSION, "kind": kind}))
+    # dump_header's text, encoded piece by piece: a tensor cache's header lists every window
+    text = HEADER_JSON.iterencode({**header, "format_version": FORMAT_VERSION, "kind": kind})
+    atomic_write_chunks(header_path, (t.encode() for t in itertools.chain(text, "\n")))
     return header_path
 
 
@@ -462,7 +469,8 @@ class PayloadRows:
 
 
 def save_recording(rec: RawRecording, path: str | Path) -> Path:
-    """Write the JSON header + float32 payload pair. Returns the header path."""
+    """Write the JSON header + float32 payload pair, RECORDING_CHUNK channels
+    at a time (no float32 copy of the whole recording). Returns the header path."""
     rec.validate()
     header = {
         "subject_id": rec.subject_id,
@@ -470,7 +478,8 @@ def save_recording(rec: RawRecording, path: str | Path) -> Path:
         "channels": list(rec.channels),
         "trials": [{"start": t.start, "end": t.end, "label": t.label} for t in rec.trials],
     }
-    return write_container(path, "recording", header, rec.data)
+    rows = (rec.data[lo : lo + RECORDING_CHUNK] for lo in range(0, rec.n_channels, RECORDING_CHUNK))
+    return write_container_chunks(path, "recording", header, rows)
 
 
 def load_recording(path: str | Path) -> RawRecording:

@@ -27,6 +27,7 @@ TENSOR_ORDER = (
     "fc1_w", "fc1_b", "fc2_w", "fc2_b", "out_w", "out_b",
 )
 TRAINED = tuple(n for n in TENSOR_ORDER if not n.startswith("bn_running"))
+RMSPROP_BLOCK = 65536  # elements per pass of rmsprop_step: a block of each operand stays in L2
 
 
 @dataclass
@@ -368,8 +369,9 @@ def rmsprop_step(
     params: dict, grads: dict, state: dict | None, t: int, cfg: TrainConfig
 ) -> tuple[dict, dict]:
     """v <- rho v + (1-rho) g^2; theta <- theta - lr_t g / (sqrt(v) + eps),
-    with lr_t = learning_rate / (1 + decay * t), computed in each gradient's
-    dtype. Pure function of inputs: returns new dicts and new arrays."""
+    with lr_t = learning_rate / (1 + decay * t), in each gradient's dtype,
+    RMSPROP_BLOCK elements at a time into the new v and theta (elementwise,
+    so bit for bit). Pure function of inputs: returns new dicts and arrays."""
     cfg.validate()
     lr_t = cfg.learning_rate / (1.0 + cfg.decay * t)
     rho = cfg.rmsprop_rho
@@ -380,15 +382,21 @@ def rmsprop_step(
         v_old = np.zeros_like(g) if state is None else np.asarray(state[name], dtype=g.dtype)
         if v_old.shape != g.shape:
             raise ValueError(f"optimizer state shape mismatch for {name!r}")
-        v = rho * v_old
-        tmp = (1.0 - rho) * g
-        tmp *= g
-        v += tmp
-        denom = np.sqrt(v, out=tmp)
-        denom += cfg.rmsprop_epsilon
-        step = lr_t * g
-        step /= denom
-        theta = np.subtract(np.asarray(params[name], dtype=g.dtype), step, out=step)
+        v, theta = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
+        tmp = np.empty(min(g.size, RMSPROP_BLOCK), g.dtype)
+        flat = [a.reshape(-1) for a in (g, v_old, np.asarray(params[name]), v, theta)]
+        for lo in range(0, g.size, RMSPROP_BLOCK):
+            gb, old, pb, vb, step = (a[lo : lo + RMSPROP_BLOCK] for a in flat)
+            tb = tmp[: len(gb)]
+            np.multiply(rho, old, out=vb)
+            np.multiply(1.0 - rho, gb, out=tb)
+            tb *= gb
+            vb += tb
+            denom = np.sqrt(vb, out=tb)
+            denom += cfg.rmsprop_epsilon
+            np.multiply(lr_t, gb, out=step)
+            step /= denom
+            np.subtract(np.asarray(pb, dtype=g.dtype), step, out=step)
         new_state[name] = v
         new_params[name] = theta.astype(params[name].dtype, copy=False)
     return new_params, new_state
@@ -467,8 +475,9 @@ def train_arrays(
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, batch {lo // train_cfg.batch_size}: {exc}"
                 ) from exc
-            trained = {k: grads[k] for k in TRAINED}
-            params, state = rmsprop_step(params, trained, state, epoch, train_cfg)
+            params, state = rmsprop_step(params, {k: grads[k] for k in TRAINED}, state,
+                                         epoch, train_cfg)
+            del grads  # freed before the next step's are built
             run_mean, run_var = params["bn_running_mean"], params["bn_running_var"]
             params["bn_running_mean"] = mom * run_mean + (1.0 - mom) * aux["batch_mean"]
             params["bn_running_var"] = np.maximum(

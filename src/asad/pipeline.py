@@ -59,7 +59,6 @@ from .data import (
     segment_windows,
     stratified_split,
     subset_channels,
-    subset_recording,
     synth_recording,
 )
 from .features import (
@@ -128,8 +127,9 @@ class SeedsSection:
 @dataclass
 class PipelineConfig:
     montage: str = "builtin:biosemi64"
-    channels: list[str] | None = None
-    recordings_dir: str | None = None
+    # an optional field's metadata gives an example of the values it takes
+    channels: list[str] | None = field(default=None, metadata={"like": ["Cz"]})
+    recordings_dir: str | None = field(default=None, metadata={"like": "dir"})
     reference_channels: list[str] = field(default_factory=lambda: ["M1", "M2"])
     band: tuple[float, float] = (8.0, 13.0)
     target_rate: float = 70.0
@@ -151,6 +151,10 @@ class PipelineConfig:
                 raise ValueError("window_sizes_s must not be empty")
             if any(w <= 0 for w in self.window_sizes_s):
                 raise ValueError("window sizes must be positive")
+            tags = [_ws_tag(w) for w in self.window_sizes_s]
+            if len(set(tags)) < len(tags):
+                raise ValueError(f"window_sizes_s {list(self.window_sizes_s)} name the same "
+                                 f"directory twice ({', '.join(tags)}); give each size once")
             if not (0.0 <= self.overlap_fraction < 1.0):
                 raise ValueError("overlap_fraction must lie in [0, 1)")
             bad = [m for m in self.models if m not in ("cnn", "linear")]
@@ -232,16 +236,15 @@ class PipelineConfig:
 
 def _accepts(default, value) -> bool:
     """Whether a JSON value fits a field with this default: a float field
-    also takes an int, no number field takes true or false, a tuple or list
-    field takes a list whose items fit the default's first item, and an
-    optional field (default None) takes anything."""
+    also takes an int, no number field takes true or false, and a tuple or
+    list field takes a list whose items fit the default's first item."""
     if isinstance(default, bool) or isinstance(value, bool):
         return isinstance(default, bool) and isinstance(value, bool)
     if isinstance(default, float):
         return isinstance(value, (int, float))
     if isinstance(default, (list, tuple)):
         return isinstance(value, list) and all(_accepts(default[0], v) for v in value)
-    return default is None or isinstance(value, type(default))
+    return isinstance(value, type(default))
 
 
 def _kind(default) -> str:
@@ -267,10 +270,12 @@ def _build(cls, raw, prefix: str = ""):
     for key, value in raw.items():
         f = known[key]
         default = f.default if f.default_factory is MISSING else f.default_factory()
+        like = f.metadata.get("like", default)
         if is_dataclass(default):
             value = _build(type(default), value, f"{prefix}{key}.")
-        elif not _accepts(default, value):
-            raise ConfigError(f"{prefix}{key} = {value!r} must be {_kind(default)}")
+        elif (value, default) != (None, None) and not _accepts(like, value):
+            null = " or null" if default is None else ""
+            raise ConfigError(f"{prefix}{key} = {value!r} must be {_kind(like)}{null}")
         elif isinstance(default, tuple):
             value = tuple(value)
         kwargs[key] = value
@@ -360,8 +365,11 @@ def resolve_montage(cfg: PipelineConfig) -> Montage:
             raise ConfigError(f"montage file {p} does not exist")
         mont = load_montage(p)
     if cfg.channels:
-        idx = [mont.index(n) for n in cfg.channels]
-        mont = Montage(names=list(cfg.channels), positions=mont.positions[idx].copy()).validate()
+        try:
+            idx = [mont.index(n) for n in cfg.channels]
+            mont = Montage(names=list(cfg.channels), positions=mont.positions[idx].copy()).validate()
+        except ValueError as exc:
+            raise ConfigError(f"channels {cfg.channels!r}: {exc}") from None
     return mont
 
 
@@ -386,31 +394,29 @@ def _ws_tag(window_s: float) -> str:
 def stage_synth(cfg: PipelineConfig, out_dir: Path) -> None:
     """Generate recordings (and envelope pairs when the linear model runs)."""
     mont = resolve_montage(cfg)
-    s = cfg.synth
-    want_env = "linear" in cfg.models
-    n_samples = _round_half_up(s.duration_s * s.sample_rate)
-    max_lag = _round_half_up(s.envelope_max_lag_s * s.sample_rate)
-    names = ("recordings", "envelopes") if want_env else ("recordings",)
+    names = ("recordings", "envelopes") if "linear" in cfg.models else ("recordings",)
     with stage_output(out_dir, *names) as (rec_tmp, *env_tmps):
-        for i in range(s.n_subjects):
-            sid = f"S{i:02d}"
-            rec = synth_recording(replace(s, seed=s.seed + i), mont, sid, cfg.reference_channels)
-            if want_env:
-                env_l = synth_envelope(
-                    n_samples, s.sample_rate, f"{sid}.left",
-                    np.random.default_rng((s.seed, i, 1)),
-                )
-                env_r = synth_envelope(
-                    n_samples, s.sample_rate, f"{sid}.right",
-                    np.random.default_rng((s.seed, i, 2)),
-                )
-                if s.envelope_mix_gain > 0:
-                    rec = add_envelope_mixture(
-                        rec, env_l, env_r, max_lag, s.envelope_mix_gain, (s.seed, i, 3)
-                    )
-                save_envelope(env_l, env_tmps[0] / f"{sid}.left")
-                save_envelope(env_r, env_tmps[0] / f"{sid}.right")
-            save_recording(rec, rec_tmp / sid)
+        for i in range(cfg.synth.n_subjects):
+            _synth_subject(cfg, mont, i, rec_tmp, env_tmps[0] if env_tmps else None)
+
+
+def _synth_subject(cfg: PipelineConfig, mont: Montage, i: int, rec_dir: Path,
+                   env_dir: Path | None) -> None:
+    """Write subject i's recording, and its envelope pair into `env_dir` if
+    given; a call of its own, so its arrays go before the next subject's come."""
+    s, sid = cfg.synth, f"S{i:02d}"
+    rec = synth_recording(replace(s, seed=s.seed + i), mont, sid, cfg.reference_channels)
+    if env_dir is not None:
+        n_samples = _round_half_up(s.duration_s * s.sample_rate)
+        env_l, env_r = (synth_envelope(n_samples, s.sample_rate, f"{sid}.{side}",
+                                       np.random.default_rng((s.seed, i, k)))
+                        for k, side in ((1, "left"), (2, "right")))
+        if s.envelope_mix_gain > 0:
+            lag = _round_half_up(s.envelope_max_lag_s * s.sample_rate)
+            rec = add_envelope_mixture(rec, env_l, env_r, lag, s.envelope_mix_gain, (s.seed, i, 3))
+        save_envelope(env_l, env_dir / f"{sid}.left")
+        save_envelope(env_r, env_dir / f"{sid}.right")
+    save_recording(rec, rec_dir / sid)
 
 
 def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -419,48 +425,42 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
     envelopes for the linear decoder."""
     mont = resolve_montage(cfg)
     paths = _recording_paths(cfg, out_dir)
-    want_cnn = "cnn" in cfg.models
-    want_lin = "linear" in cfg.models
-    pp = cfg.preproc_config()
-    pp_lin = cfg.preproc_config(band=cfg.baseline.band)
-    names = (("preprocessed",) if want_cnn else ()) + (
-        ("preprocessed_baseline", "envelopes_rs") if want_lin else ()
+    names = (("preprocessed",) if "cnn" in cfg.models else ()) + (
+        ("preprocessed_baseline", "envelopes_rs") if "linear" in cfg.models else ()
     )
     with stage_output(out_dir, *names) as tmps:
-        tmp = dict(zip(names, tmps))
         for path in paths:
-            rec = load_recording(path)
-            wanted = list(mont.names) + [
-                r for r in cfg.reference_channels if r in rec.channels
-            ]
-            rec = subset_recording(rec, wanted)
-            if want_cnn:
-                prep = preprocess_recording(rec, pp)
-                if prep.channels != list(mont.names):
-                    raise RuntimeError(
-                        f"preprocessed channels diverge from montage for {rec.subject_id}"
-                    )
-                save_recording(prep, tmp["preprocessed"] / rec.subject_id)
-            if want_lin:
-                save_recording(
-                    preprocess_recording(rec, pp_lin), tmp["preprocessed_baseline"] / rec.subject_id
-                )
-                for side in ("left", "right"):
-                    env = load_envelope(out_dir / "envelopes" / f"{rec.subject_id}.{side}")
-                    rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
-                    env_rs = Envelope(
-                        samples=np.clip(rs, 0.0, None),
-                        speaker_id=env.speaker_id,
-                        sample_rate=cfg.target_rate,
-                    )
-                    save_envelope(env_rs, tmp["envelopes_rs"] / f"{rec.subject_id}.{side}")
+            _preprocess_subject(cfg, mont, path, out_dir, dict(zip(names, tmps)))
 
 
-def _load_preprocessed(out_dir: Path, sub_dir: str = "preprocessed") -> list[RawRecording]:
+def _preprocess_subject(cfg: PipelineConfig, mont: Montage, path: Path, out_dir: Path,
+                        tmp: dict[str, Path]) -> None:
+    """Run each model's chain over one recording's montage channels, in montage
+    order; a call of its own, so its arrays go before the next recording's come."""
+    rec = load_recording(path)
+    sid = rec.subject_id
+    for name, band in (("preprocessed", None), ("preprocessed_baseline", cfg.baseline.band)):
+        if name in tmp:
+            save_recording(preprocess_recording(rec, cfg.preproc_config(band), mont.names),
+                           tmp[name] / sid)
+    if "envelopes_rs" in tmp:
+        for side in ("left", "right"):
+            env = load_envelope(out_dir / "envelopes" / f"{sid}.{side}")
+            rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
+            env_rs = Envelope(np.clip(rs, 0.0, None), env.speaker_id, cfg.target_rate)
+            save_envelope(env_rs, tmp["envelopes_rs"] / f"{sid}.{side}")
+
+
+def _preprocessed_paths(out_dir: Path, sub_dir: str = "preprocessed") -> list[Path]:
     root = out_dir / sub_dir
     if not root.is_dir():
         raise FileNotFoundError(f"{root} not found (run preprocess first?)")
-    return [load_recording(p) for p in sorted(root.glob("*.json"))]
+    return sorted(root.glob("*.json"))
+
+
+def _without_samples(rec: RawRecording) -> RawRecording:
+    """`rec` with a zero-stride stand-in for its samples, which the split does not read."""
+    return replace(rec, data=np.broadcast_to(np.float32(0), rec.data.shape))
 
 
 def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
@@ -475,17 +475,25 @@ def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
 
 
 def partition_maps(
-    wins: WindowSet, data: dict[str, np.ndarray], layout: ProjectedLayout, fs: float,
+    wins: WindowSet, data: dict[str, np.ndarray | Path], layout: ProjectedLayout, fs: float,
     feat: FeatureSection,
 ) -> Iterator[np.ndarray]:
     """Float32 (n, S, g, g) maps of one partition's windows, whose samples
-    are gathered from `data` (subject id -> channels x samples)
-    EXTRACT_CHUNK windows at a time: the float64 work does not grow with
-    the partition."""
+    are gathered from `data` (subject id -> channels x samples, or the
+    container to read them from) EXTRACT_CHUNK windows at a time: the work
+    does not grow with the partition. Each run of a subject's windows reads
+    its container once, and lets go of it before the next subject's."""
+    sid = x = None
     for lo in range(0, len(wins), EXTRACT_CHUNK):
         chunk = wins[lo : lo + EXTRACT_CHUNK]
-        batch = np.stack([data[sid][:, s : s + chunk.length]
-                          for sid, s in zip(chunk.subjects, chunk.starts)])
+        batch = None
+        for j, (s, start) in enumerate(zip(chunk.subjects, chunk.starts)):
+            if s != sid:
+                sid, x = s, None
+                x = data[s] if isinstance(data[s], np.ndarray) else load_recording(data[s]).data
+            if batch is None:
+                batch = np.empty((len(chunk), len(x), chunk.length), x.dtype)
+            batch[j] = x[:, start : start + chunk.length]
         # the feature section's fields are extract_ssf's options
         yield extract_ssf(batch, layout, fs, **asdict(feat)).astype(np.float32)
 
@@ -495,8 +503,10 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     if "cnn" not in cfg.models:
         return
     layout = project_electrodes(resolve_montage(cfg))
-    recs = _load_preprocessed(out_dir)
-    data = {rec.subject_id: rec.data for rec in recs}
+    paths = _preprocessed_paths(out_dir)
+    # the split reads no samples; each partition's maps load one subject at a time
+    recs = [_without_samples(load_recording(p)) for p in paths]
+    data = {rec.subject_id: p for rec, p in zip(recs, paths)}
     feat = cfg.features
     with stage_output(out_dir, "features") as (tmp,):
         for ws in cfg.window_sizes_s:
@@ -506,8 +516,14 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
             for pname, wins in split.partitions().items():
                 # each chunk goes to the cache file as soon as it is built
                 maps = partition_maps(wins, data, layout, cfg.target_rate, feat)
-                save_tensor_cache(maps, wins.labels.tolist(), wins.subjects.tolist(),
+                save_tensor_cache(maps, _str_list(wins.labels), _str_list(wins.subjects),
                                   layout.extent, ws_dir / pname)
+
+
+def _str_list(a: np.ndarray) -> list[str]:
+    """`a.tolist()` with one str object per distinct value, not per element."""
+    names, idx = np.unique(a, return_inverse=True)
+    return list(map(names.tolist().__getitem__, idx.tolist()))
 
 
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -579,46 +595,53 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
     decoder's lambda, validation accuracy and training rows in decoders.csv."""
     if "linear" not in cfg.models:
         return
-    recs = _load_preprocessed(out_dir, "preprocessed_baseline")
-    n_lags = _n_lags(cfg)
-    short = short_linear_windows(cfg)
-    for ws, why in short.items():
+    paths = _preprocessed_paths(out_dir, "preprocessed_baseline")
+    for ws, why in short_linear_windows(cfg).items():
         print(f"baseline: skipping linear at {ws:g} s windows ({why})", file=sys.stderr)
     rows, choices = [], []
     with stage_output(out_dir, "baseline_eval") as (tmp,):
         dec_dir = tmp / "decoders"
         dec_dir.mkdir()
-        for rec in recs:
-            env_l, env_r = (
-                load_envelope(out_dir / "envelopes_rs" / f"{rec.subject_id}.{side}").samples
-                for side in ("left", "right")
-            )
-            eeg = rec.data.astype(float)
-            for ws in cfg.window_sizes_s:
-                if ws in short:
-                    continue
-                split = build_split(cfg, [rec], ws)
-                train, test = split.train, split.test
-                m, y = train_weights(train, env_l, env_r, n_lags)
-                decoder, val_acc = select_lambda(
-                    (eeg, m, y), (env_l, env_r, split.validation), n_lags,
-                    cfg.baseline.lambda_grid,
-                )
-                test_rows = test.rows(n_lags)
-                s_hat = reconstruct(decoder, eeg)
-                d = decide_attention(s_hat[test_rows], env_l[test_rows], env_r[test_rows])
-                acc = int(np.sum(d.label == test.labels)) / len(test)
-                rows.append(("linear", ws, cfg.seeds.base, rec.subject_id, acc))
-                choices.append(
-                    (rec.subject_id, ws, decoder.ridge_lambda, val_acc, len(train),
-                     int(np.count_nonzero(m)), int(m.sum()))
-                )
-                save_decoder(decoder, dec_dir / f"{rec.subject_id}.{_ws_tag(ws)}")
+        for path in paths:
+            _baseline_subject(cfg, out_dir, path, dec_dir, rows, choices)
         _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
         lines = [DECODERS_HEADER]
         for subj, ws, lam, val_acc, n_win, distinct, weighted in sorted(choices):
             lines.append(f"{subj},{ws!r},{lam!r},{val_acc!r},{n_win},{distinct},{weighted}")
         atomic_write_text(tmp / "decoders.csv", "\n".join(lines) + "\n")
+
+
+def _baseline_subject(cfg: PipelineConfig, out_dir: Path, path: Path, dec_dir: Path,
+                      rows: list[tuple], choices: list[tuple]) -> None:
+    """Fit, save and score one subject's decoders, appending its metric rows and
+    choices; a call of its own, so its arrays go before the next subject's come."""
+    rec = load_recording(path)
+    eeg = rec.data.astype(float)
+    rec = _without_samples(rec)  # the float32 samples go once cast
+    sid = rec.subject_id
+    env_l, env_r = (
+        load_envelope(out_dir / "envelopes_rs" / f"{sid}.{side}").samples
+        for side in ("left", "right")
+    )
+    n_lags = _n_lags(cfg)
+    for ws in [w for w in cfg.window_sizes_s if w not in short_linear_windows(cfg)]:
+        split = build_split(cfg, [rec], ws)
+        train, test = split.train, split.test
+        m, y = train_weights(train, env_l, env_r, n_lags)
+        decoder, val_acc = select_lambda(
+            (eeg, m, y), (env_l, env_r, split.validation), n_lags,
+            cfg.baseline.lambda_grid,
+        )
+        test_rows = test.rows(n_lags)
+        s_hat = reconstruct(decoder, eeg)
+        d = decide_attention(s_hat[test_rows], env_l[test_rows], env_r[test_rows])
+        acc = int(np.sum(d.label == test.labels)) / len(test)
+        rows.append(("linear", ws, cfg.seeds.base, sid, acc))
+        choices.append(
+            (sid, ws, decoder.ridge_lambda, val_acc, len(train),
+             int(np.count_nonzero(m)), int(m.sum()))
+        )
+        save_decoder(decoder, dec_dir / f"{sid}.{_ws_tag(ws)}")
 
 
 def _write_seed_metrics(path: Path, rows: list[tuple]) -> None:

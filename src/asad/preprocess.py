@@ -8,6 +8,7 @@ zero mean / unit variance.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -17,9 +18,8 @@ from scipy import signal as sps
 
 from .data import RawRecording, Trial, _round_half_up
 
-# Channels filtered, resampled and normalized at a time by
-# `preprocess_recording`: every step after the re-reference treats each
-# channel on its own.
+# Channels run through the chain at a time by `preprocess_recording`: once
+# the reference mean is subtracted, every step treats each channel on its own.
 CHANNEL_BLOCK = 16
 
 
@@ -72,6 +72,16 @@ def _design_bandpass(band: tuple[float, float], order: int, fs: float) -> np.nda
     return sps.butter(order, [low, high], btype="bandpass", fs=fs, output="sos")
 
 
+@functools.cache
+def _bandpass_design(band: tuple[float, float], order: int, fs: float) -> tuple[np.ndarray, int]:
+    """`_design_bandpass` and its `_impulse_settle_len`, designed once per
+    (band, order, fs); the SOS array is shared, so it is read-only."""
+    sos = _design_bandpass(band, order, fs)
+    pad = _impulse_settle_len(sos, fs)
+    sos.flags.writeable = False
+    return sos, pad
+
+
 def _impulse_settle_len(sos: np.ndarray, fs: float, tol: float = 1e-9) -> int:
     """Samples until the impulse response decays below tol of its peak;
     used as the reflect-pad length for zero-phase filtering."""
@@ -108,8 +118,8 @@ def bandpass(
     rec: RawRecording, band: tuple[float, float] = (8.0, 13.0), order: int = 4
 ) -> RawRecording:
     """Zero-phase Butterworth bandpass applied independently per trial."""
-    sos = _design_bandpass(band, order, rec.sample_rate)
-    pad = _impulse_settle_len(sos, rec.sample_rate)
+    sos, pad = _bandpass_design(tuple(band), order, rec.sample_rate)
+    sos = sos.copy()  # sosfilt takes only a writable array; the shared one stays read-only
     data = rec.data.astype(float)
     for tr in rec.trials:
         data[:, tr.start : tr.end] = _zero_phase(sos, data[:, tr.start : tr.end], pad)
@@ -180,26 +190,35 @@ def normalize_trial(rec: RawRecording) -> RawRecording:
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
-def preprocess_recording(rec: RawRecording, cfg: PreprocConfig) -> RawRecording:
-    """Full chain: re-reference, bandpass, resample, normalize.
+def preprocess_recording(
+    rec: RawRecording, cfg: PreprocConfig, channels: list[str] | None = None
+) -> RawRecording:
+    """Full chain: re-reference, bandpass, resample, normalize, of `channels`
+    in the order given (default: every channel but the references).
 
-    After the re-reference every step treats each channel on its own, so
-    the last three run on one CHANNEL_BLOCK of channels at a time, each
-    block written into one float64 output at the target rate. The bytes
-    are those of the four steps applied to the whole recording one after
-    another; the float64 work beyond the output stays a few channel blocks.
+    Each step treats a channel on its own once the reference mean is
+    subtracted, so the chain runs on CHANNEL_BLOCK channels at a time,
+    gathered with the reference rows from `rec`, into one float64 output at
+    the target rate: the bytes of the four steps applied to the whole
+    recording, with no whole-recording copy beyond the output.
     """
     cfg.validate()
-    ref = rereference(rec, cfg.reference_channels)
+    refs = list(cfg.reference_channels)
+    if channels is None:
+        channels = [c for c in rec.channels if c not in refs]
+    rows = [rec.channel_index(n) for n in [*channels, *refs]]
+    if not channels:
+        raise ValueError("re-referencing would drop every channel")
     data = None
-    for lo in range(0, ref.n_channels, CHANNEL_BLOCK):
-        rows = slice(lo, lo + CHANNEL_BLOCK)
-        block = replace(ref, channels=ref.channels[rows], data=ref.data[rows])
+    for lo in range(0, len(channels), CHANNEL_BLOCK):
+        names = channels[lo : lo + CHANNEL_BLOCK]
+        picked = rows[lo : lo + len(names)] + rows[len(channels) :]
+        block = replace(rec, channels=[*names, *refs], data=rec.data[picked]).validate()
         # nested, so each step's input is freed as soon as the next returns
-        block = normalize_trial(
-            resample(bandpass(block, cfg.band, cfg.filter_order), cfg.target_rate)
-        )
+        block = normalize_trial(resample(
+            bandpass(rereference(block, refs), cfg.band, cfg.filter_order), cfg.target_rate
+        ))
         if data is None:
-            data = np.empty((ref.n_channels, block.n_samples))
-        data[rows] = block.data
-    return replace(block, channels=ref.channels, data=data).validate()
+            data = np.empty((len(channels), block.n_samples))
+        data[lo : lo + len(names)] = block.data
+    return replace(block, channels=list(channels), data=data).validate()

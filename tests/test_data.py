@@ -10,6 +10,7 @@ from asad.data import (
     LABEL_INDEX,
     LABELS,
     LEFT,
+    RECORDING_CHUNK,
     RIGHT,
     RawRecording,
     SynthConfig,
@@ -85,6 +86,19 @@ def test_overlapping_trials_rejected():
             data=np.zeros((1, 100)),
             trials=[Trial(0, 60, LEFT), Trial(50, 100, RIGHT)],
         ).validate()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_save_recording_chunks_give_whole_cast_bytes(tmp_path, dtype, order):
+    """A channel count that is not a multiple of RECORDING_CHUNK, written a
+    chunk at a time, gives the bytes of one whole-array float32 cast."""
+    n_ch = 2 * RECORDING_CHUNK + 3
+    data = np.random.default_rng(8).normal(size=(n_ch, 301)).astype(dtype, order=order)
+    rec = RawRecording("s", 10.0, [f"c{i}" for i in range(n_ch)], data, [Trial(0, 301, LEFT)])
+    save_recording(rec, tmp_path / "r")
+    _, payload = container_paths(tmp_path / "r")
+    assert payload.read_bytes() == data.astype("<f4").tobytes()
 
 
 def test_roundtrip_byte_identical(tmp_path):

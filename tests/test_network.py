@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asad.network import (
+    RMSPROP_BLOCK,
     Checkpoint,
     CnnConfig,
     TrainConfig,
@@ -328,6 +330,54 @@ def test_float32_gradients_match_float64(rng):
             assert err <= 1e-5 * np.linalg.norm(g64["conv_w"])
         else:
             assert err <= 1e-3 * np.linalg.norm(g64[name]), name
+
+
+def _rmsprop_unblocked(params, grads, state, t, cfg):
+    """rmsprop_step as whole-array expressions, one temporary per step."""
+    lr_t = cfg.learning_rate / (1.0 + cfg.decay * t)
+    rho = cfg.rmsprop_rho
+    new_params, new_state = dict(params), {}
+    for name, g in grads.items():
+        v_old = np.zeros_like(g) if state is None else np.asarray(state[name], dtype=g.dtype)
+        v = rho * v_old
+        tmp = (1.0 - rho) * g
+        tmp *= g
+        v += tmp
+        denom = np.sqrt(v, out=tmp)
+        denom += cfg.rmsprop_epsilon
+        step = lr_t * g
+        step /= denom
+        theta = np.subtract(np.asarray(params[name], dtype=g.dtype), step, out=step)
+        new_state[name] = v
+        new_params[name] = theta.astype(params[name].dtype, copy=False)
+    return new_params, new_state
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    k=st.integers(0, 2),
+    offset=st.integers(-1, 1),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    with_state=st.booleans(),
+    t=st.integers(0, 50),
+    seed=st.integers(0, 2**16),
+)
+def test_rmsprop_blocks_match_unblocked_bits(k, offset, dtype, with_state, t, seed):
+    """Sizes around multiples of RMSPROP_BLOCK, state None or given: the
+    blocked step gives the bits of the whole-array formula."""
+    size = max(1, k * RMSPROP_BLOCK + offset)
+    rng = np.random.default_rng(seed)
+    params = {"w": rng.normal(size=size).astype(dtype), "b": rng.normal(size=(3, 5)).astype(dtype)}
+    grads = {name: rng.normal(size=v.shape).astype(dtype) for name, v in params.items()}
+    state = ({name: rng.random(v.shape).astype(dtype) for name, v in params.items()}
+             if with_state else None)
+    tc = TrainConfig(decay=0.01)
+    got_p, got_s = rmsprop_step(params, grads, state, t, tc)
+    want_p, want_s = _rmsprop_unblocked(params, grads, state, t, tc)
+    for name in params:
+        assert got_p[name].dtype == want_p[name].dtype and got_s[name].dtype == want_s[name].dtype
+        assert got_p[name].tobytes() == want_p[name].tobytes()
+        assert got_s[name].tobytes() == want_s[name].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])

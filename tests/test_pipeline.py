@@ -9,7 +9,7 @@ import pytest
 
 from asad import network, pipeline
 from asad.cli import main
-from asad.data import LABEL_INDEX, LABELS, LEFT, WindowSet
+from asad.data import LABEL_INDEX, LABELS, LEFT, WindowSet, load_recording
 from asad.features import load_tensor_cache, save_tensor_cache
 from asad.geometry import project_electrodes
 from asad.pipeline import (
@@ -126,7 +126,12 @@ def test_wrong_type_overrides_cover_every_section():
         ("window_sizes_s=1.0", "window_sizes_s = 1.0 must be a list"),
         ('window_sizes_s=[1.0,true]', "window_sizes_s = [1.0, True] must be a list, each item a number"),
         ('models=["cnn",1]', "models = ['cnn', 1] must be a list, each item a string"),
-        ("channels=5", "not iterable"),
+        ("channels=5", "channels = 5 must be a list, each item a string or null"),
+        ('channels="Cz"', "channels = 'Cz' must be a list, each item a string or null"),
+        ('channels=["Cz","Cz"]', "channels ['Cz', 'Cz']: montage names must be unique"),
+        ("recordings_dir=[]", "recordings_dir = [] must be a string or null"),
+        ("window_sizes_s=[1.0,1.0]", "window_sizes_s [1.0, 1.0] name the same directory twice"),
+        ("window_sizes_s=[1.0,1.0000001]", "(w1, w1); give each size once"),
         ('overlap_fraction="x"', "overlap_fraction = 'x' must be a number"),
         ("split.ratios=0.8", "split.ratios = 0.8 must be a list"),
         ("seeds.base=-1", "seeds.base = -1 must be >= 0"),
@@ -401,6 +406,27 @@ def test_extract_memory_does_not_grow_with_windows(rng):
     assert four <= one + 2**20
 
 
+def test_extract_memory_holds_one_subject(tmp_path):
+    """stage_extract's traced peak with 4 subjects exceeds its peak with 2
+    by less than one subject's preprocessed payload: the split reads no
+    samples, and each partition's maps load one subject at a time."""
+    peaks = {}
+    for n in (2, 4):
+        cfg = config_from_dict({**TINY, "models": ["cnn"], "synth": {**TINY["synth"], "n_subjects": n}})
+        out = tmp_path / f"n{n}"
+        pipeline.stage_synth(cfg, out)
+        pipeline.stage_preprocess(cfg, out)
+        pipeline.stage_extract(cfg, out)  # imports and interpolator tables
+        tracemalloc.start()
+        try:
+            pipeline.stage_extract(cfg, out)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    payload = (tmp_path / "n2" / "preprocessed" / "S00.f32").stat().st_size
+    assert peaks[4] - peaks[2] < payload, (peaks, payload)
+
+
 def test_train_memory_does_not_grow_with_cached_windows(tmp_path):
     """One epoch of training from tensor caches of 1x, 2x and 4x the windows
     has the same traced peak: batches are read from the cache file, which is
@@ -580,7 +606,7 @@ def test_decoders_csv_counts_match_split(tiny_workspace):
         "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
     )
     rows = [line.split(",") for line in lines[1:]]
-    recs = pipeline._load_preprocessed(out, "preprocessed_baseline")
+    recs = [load_recording(p) for p in pipeline._preprocessed_paths(out, "preprocessed_baseline")]
     assert [r[0] for r in rows] == [rec.subject_id for rec in recs]
     for (subj, ws, lam, val_acc, n_win, distinct, weighted), rec in zip(rows, recs):
         split = pipeline.build_split(cfg, [rec], float(ws))
