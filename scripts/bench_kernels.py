@@ -46,9 +46,15 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   have no function of their own; the backward row includes a copy of its
   input, since it works in place.
 
-`--paper-scale` instead runs `preprocess_recording` once on one synthetic
-48-min subject (66 channels at 128 Hz, float32) and reports its time and
-tracemalloc peak.
+`--paper-scale` instead runs three calls once each at the paper's
+recording length, 48 min, and reports the time and tracemalloc peak of
+each: `preprocess_recording` of one synthetic subject (66 channels at
+128 Hz, float32), `_synth_subject` of one subject of the pipeline's
+default synth section with envelope mixing on (`envelope_mix_gain` 1), its
+recording and envelopes written to a temporary directory, and
+`select_lambda` of one subject (64 channels at 70 Hz, 19 lags, the default
+lambda grid) with training weights from 1 s windows at 50 % overlap in 8
+trials of 6 min, every fifth window held out for validation.
 
 Prints one JSON object with the machine facts (nproc, numpy, scipy, BLAS
 name and version, OPENBLAS_NUM_THREADS) and the figures. With
@@ -106,6 +112,7 @@ from asad.network import (  # noqa: E402
 )
 from asad.pipeline import (  # noqa: E402
     FeatureSection,
+    _synth_subject,
     build_split,
     config_from_dict,
     partition_maps,
@@ -155,11 +162,14 @@ def median_s(fn, repeats: int) -> float:
     return statistics.median(times)
 
 
-def traced_peak_mib(fn) -> float:
+def traced_call(fn) -> tuple[object, float, float]:
+    """fn's result, its seconds and its tracemalloc peak in MiB, from one call."""
     tracemalloc.start()
     try:
-        fn()
-        return tracemalloc.get_traced_memory()[1] / MIB
+        t0 = time.perf_counter()
+        out = fn()
+        seconds = time.perf_counter() - t0
+        return out, seconds, tracemalloc.get_traced_memory()[1] / MIB
     finally:
         tracemalloc.stop()
 
@@ -402,28 +412,69 @@ def kernel_table(repeats: int) -> dict:
             table[name] = {
                 "inputs": what,
                 "seconds": median_s(fn, repeats),
-                "peak_mib": traced_peak_mib(fn),
+                "peak_mib": traced_call(fn)[2],
             }
     finally:
         shutil.rmtree(root)
     return table
 
 
-def paper_scale() -> dict:
+def paper_preprocess() -> dict:
     rec = subject(48 * 60.0)
     pp = PreprocConfig(reference_channels=["M1", "M2"])
-    tracemalloc.start()
-    try:
-        t0 = time.perf_counter()
-        out = preprocess_recording(rec, pp)
-        seconds = time.perf_counter() - t0
-        peak = tracemalloc.get_traced_memory()[1] / MIB
-    finally:
-        tracemalloc.stop()
+    out, seconds, peak = traced_call(lambda: preprocess_recording(rec, pp))
     return {
         "inputs": f"{rec.n_channels} x {rec.n_samples:,} float32 at 128 Hz, 8 trials",
         "input_mib": rec.data.nbytes / MIB,
         "output_mib": out.data.nbytes / MIB,
+        "seconds": seconds,
+        "peak_mib": peak,
+    }
+
+
+def paper_synth_subject() -> dict:
+    cfg = config_from_dict({"models": ["linear"], "synth": {
+        "n_subjects": 1, "duration_s": 48 * 60.0, "envelope_mix_gain": 1.0}})
+    mont = bundled_montage("biosemi64")
+    n_ch, n = cfg.synth.n_channels + len(cfg.reference_channels), 48 * 60 * 128
+    root = Path(tempfile.mkdtemp(prefix="bench-synth-"))
+    try:
+        (root / "recordings").mkdir()
+        (root / "envelopes").mkdir()
+        _, seconds, peak = traced_call(
+            lambda: _synth_subject(cfg, mont, 0, root / "recordings", root / "envelopes"))
+    finally:
+        shutil.rmtree(root)
+    return {
+        "inputs": f"{n_ch} x {n:,} float64 at 128 Hz, 8 trials, envelope_mix_gain 1",
+        "recording_mib": n_ch * n * 8 / MIB,
+        "seconds": seconds,
+        "peak_mib": peak,
+    }
+
+
+def paper_select_lambda(seed: int = 13) -> dict:
+    n_ch, fs, trial = 64, 70, 6 * 60 * 70
+    rng = np.random.default_rng(seed)
+    eeg = rng.normal(size=(n_ch, 8 * trial))
+    env_l, env_r = np.abs(rng.normal(size=(2, 8 * trial)))
+    starts, labels, held = [], [], []
+    for k in range(8):
+        for i, s in enumerate(range(k * trial, (k + 1) * trial - fs + 1, fs // 2)):
+            starts.append(s)
+            labels.append(LEFT if k % 2 == 0 else RIGHT)
+            held.append(i % 5 == 4)
+    n, held = len(starts), np.array(held)
+    wins = WindowSet(np.full(n, "s"), np.zeros(n, int), np.array(starts), np.array(labels), fs)
+    train, val = wins[np.flatnonzero(~held)], wins[np.flatnonzero(held)]
+    m, y = baseline.train_weights(train, env_l, env_r, N_LAGS)
+    (dec, _), seconds, peak = traced_call(lambda: baseline.select_lambda(
+        (eeg, m, y), (env_l, env_r, val), N_LAGS, baseline.LAMBDA_GRID))
+    return {
+        "inputs": f"{n_ch} x {eeg.shape[1]:,} float64 at {fs} Hz, {N_LAGS} lags, "
+                  f"{len(train):,} train and {len(val):,} validation 1 s windows",
+        "eeg_mib": eeg.nbytes / MIB,
+        "ridge_lambda": dec.ridge_lambda,
         "seconds": seconds,
         "peak_mib": peak,
     }
@@ -440,7 +491,11 @@ def main(argv: list[str] | None = None) -> int:
         ap.error("--out and --label go together")
     result = {"script": "scripts/bench_kernels.py", "machine": machine()}
     if args.paper_scale:
-        result["paper_scale_preprocess"] = paper_scale()
+        result["paper_scale"] = {
+            "preprocess_recording": paper_preprocess(),
+            "_synth_subject": paper_synth_subject(),
+            "select_lambda": paper_select_lambda(),
+        }
     else:
         rows = ridge_rows(args.repeats)
         result.update({

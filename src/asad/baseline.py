@@ -17,7 +17,7 @@ computed once per recording and sliced into windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -147,7 +147,7 @@ def accumulate_covariances(
     for lo in range(0, len(u), ROW_CHUNK):
         uc, dc = u[lo : lo + ROW_CHUNK], d_u[lo : lo + ROW_CHUNK, None]
         # e[u + j] for j = 1 .. n_lags - 1, as (steps, n_lags - 1, C)
-        at_steps = eeg[:, uc[:, None] + np.arange(1, n_lags)].transpose(1, 2, 0).copy()
+        at_steps = eeg.T[uc[:, None] + np.arange(1, n_lags)]
         for i in range(1, n_lags):
             # sum_u D_u e[u + i] e[u + i + d]' for d < n_lags - i; the
             # right-hand factor is a view of at_steps
@@ -172,8 +172,11 @@ def _solve(r_auto: np.ndarray, r_cross: np.ndarray, lam: float) -> np.ndarray:
     try:
         if lam == 0:
             return np.linalg.solve(r_auto, r_cross)
-        a = r_auto.copy()
-        a.flat[:: len(a) + 1] += lam * float(np.mean(np.diag(r_auto)))
+        # Fortran order, which LAPACK takes as it is: cho_factor would copy
+        # a C-ordered matrix into Fortran order first
+        a = np.array(r_auto, order="F")
+        diag = np.arange(len(a))
+        a[diag, diag] += lam * float(np.mean(np.diag(r_auto)))
         # no finiteness scan, as np.linalg.solve at lam = 0 has none;
         # decoders check their weights for finiteness
         factor = cho_factor(a, overwrite_a=True, check_finite=False)
@@ -356,7 +359,8 @@ def add_envelope_mixture(
     mix_gain: float,
     seed: int,
 ) -> RawRecording:
-    """Add a lagged linear mixture of the attended envelope to every channel.
+    """Add a lagged linear mixture of the attended envelope to every channel
+    of `rec`, in place, and return `rec`.
 
     Each channel gets a fixed random causal kernel over lags 0..max_lag;
     within each trial the kernel is convolved with that trial's attended
@@ -367,14 +371,13 @@ def add_envelope_mixture(
     rng = np.random.default_rng(seed)
     kernels = rng.normal(0.0, 1.0, size=(rec.n_channels, max_lag + 1))
     kernels *= mix_gain / math.sqrt(max_lag + 1)
-    data = rec.data.astype(float)  # astype copies: the input is left as it is
     for tr in rec.trials:
         env = env_left if tr.label == LEFT else env_right
         seg = env.samples[tr.start : tr.end]
         for c in range(rec.n_channels):
             mixed = np.convolve(seg, kernels[c])[: tr.length]
-            data[c, tr.start : tr.end] += mixed
-    return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
+            rec.data[c, tr.start : tr.end] += mixed
+    return rec.validate()
 
 
 # ---------------------------------------------------------------------------

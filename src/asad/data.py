@@ -468,36 +468,75 @@ class PayloadRows:
             buf, offset = buf[got:], offset + got
 
 
-def save_recording(rec: RawRecording, path: str | Path) -> Path:
-    """Write the JSON header + float32 payload pair, RECORDING_CHUNK channels
-    at a time (no float32 copy of the whole recording). Returns the header path."""
-    rec.validate()
-    header = {
+def _recording_header(rec: RawRecording) -> dict:
+    return {
         "subject_id": rec.subject_id,
         "sample_rate": rec.sample_rate,
         "channels": list(rec.channels),
         "trials": [{"start": t.start, "end": t.end, "label": t.label} for t in rec.trials],
     }
+
+
+def save_recording(rec: RawRecording, path: str | Path) -> Path:
+    """Write the JSON header + float32 payload pair, RECORDING_CHUNK channels
+    at a time (no float32 copy of the whole recording). Returns the header path."""
+    rec.validate()
     rows = (rec.data[lo : lo + RECORDING_CHUNK] for lo in range(0, rec.n_channels, RECORDING_CHUNK))
-    return write_container_chunks(path, "recording", header, rows)
+    return write_container_chunks(path, "recording", _recording_header(rec), rows)
 
 
-def load_recording(path: str | Path) -> RawRecording:
+def save_recording_blocks(blocks: Iterable[RawRecording], path: str | Path) -> Path:
+    """`save_recording` of a recording given as consecutive channel blocks,
+    which share its subject, rate and trials: each block is cast to float32
+    and written as it comes, so the recording is never held whole. Returns
+    the header path."""
+    header: dict = {}  # filled from the blocks; encoded once the last one is written
+
+    def rows():
+        for block in blocks:
+            head = _recording_header(block.validate())
+            if not header:
+                header.update(head)
+            elif any(head[k] != header[k] for k in ("subject_id", "sample_rate", "trials")):
+                raise ValueError("channel blocks differ in subject, sample rate or trials")
+            else:
+                header["channels"] += head["channels"]
+            yield np.ascontiguousarray(block.data, dtype="<f4")
+            del block  # before the next block is made
+        if not header:
+            raise ValueError("no channel blocks to write")
+
+    return write_container_chunks(path, "recording", header, rows())
+
+
+def load_recording(path: str | Path, channels: list[str] | None = None) -> RawRecording:
+    """The recording at `path`, or only its `channels`, in the order given,
+    whose rows alone are read. Either way every sample read is checked to
+    be finite."""
     header = read_header(path, "recording", ("subject_id", "sample_rate", "channels", "trials"))
-    channels = [str(c) for c in header["channels"]]
-    data = read_payload(path, (len(channels), -1))
+    names = [str(c) for c in header["channels"]]
+    if channels is None:
+        rows, data = range(len(names)), read_payload(path, (len(names), -1))
+    else:
+        unknown = [c for c in channels if c not in names]
+        if unknown:
+            raise ValueError(f"unknown channel {unknown[0]!r}")
+        rows = [names.index(c) for c in channels]
+        with PayloadRows(path, (len(names), -1)) as payload:
+            data = payload[rows]
     finite = np.isfinite(data)
     if not finite.all():
-        ch, sample = divmod(int(np.argmin(finite)), data.shape[1])
+        i, sample = divmod(int(np.argmin(finite)), data.shape[1])
+        ch = rows[i]
         raise ValueError(
             f"non-finite sample in {container_paths(path)[1]}: channel {ch} "
-            f"({channels[ch]!r}), sample {sample}"
+            f"({names[ch]!r}), sample {sample}"
         )
     trials = [Trial(int(t["start"]), int(t["end"]), str(t["label"])) for t in header["trials"]]
     rec = RawRecording(
         subject_id=str(header["subject_id"]),
         sample_rate=float(header["sample_rate"]),
-        channels=channels,
+        channels=[names[i] for i in rows],
         data=data,
         trials=trials,
     )

@@ -55,7 +55,9 @@ from .data import (
     dump_header,
     load_montage,
     load_recording,
+    read_header,
     save_recording,
+    save_recording_blocks,
     segment_windows,
     stratified_split,
     subset_channels,
@@ -81,7 +83,7 @@ from .network import (
     save_history_csv,
     train_arrays,
 )
-from .preprocess import PreprocConfig, preprocess_recording, resample_series
+from .preprocess import PreprocConfig, preprocess_blocks, resample_series
 
 METRICS_HEADER = "model,window_s,subject,accuracy"
 METRICS_SEED_HEADER = "model,window_s,seed,subject,accuracy"
@@ -411,9 +413,9 @@ def _synth_subject(cfg: PipelineConfig, mont: Montage, i: int, rec_dir: Path,
         env_l, env_r = (synth_envelope(n_samples, s.sample_rate, f"{sid}.{side}",
                                        np.random.default_rng((s.seed, i, k)))
                         for k, side in ((1, "left"), (2, "right")))
-        if s.envelope_mix_gain > 0:
+        if s.envelope_mix_gain > 0:  # mixed into rec's own samples, not a copy
             lag = _round_half_up(s.envelope_max_lag_s * s.sample_rate)
-            rec = add_envelope_mixture(rec, env_l, env_r, lag, s.envelope_mix_gain, (s.seed, i, 3))
+            add_envelope_mixture(rec, env_l, env_r, lag, s.envelope_mix_gain, (s.seed, i, 3))
         save_envelope(env_l, env_dir / f"{sid}.left")
         save_envelope(env_r, env_dir / f"{sid}.right")
     save_recording(rec, rec_dir / sid)
@@ -436,13 +438,15 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
 def _preprocess_subject(cfg: PipelineConfig, mont: Montage, path: Path, out_dir: Path,
                         tmp: dict[str, Path]) -> None:
     """Run each model's chain over one recording's montage channels, in montage
-    order; a call of its own, so its arrays go before the next recording's come."""
-    rec = load_recording(path)
-    sid = rec.subject_id
+    order, one channel block at a time: each block's rows and the reference
+    rows are read from the container, and its output is written as soon as
+    it is done, so neither the recording nor an output is held whole."""
+    sid = str(read_header(path, "recording", ("subject_id",))["subject_id"])
     for name, band in (("preprocessed", None), ("preprocessed_baseline", cfg.baseline.band)):
         if name in tmp:
-            save_recording(preprocess_recording(rec, cfg.preproc_config(band), mont.names),
-                           tmp[name] / sid)
+            blocks = preprocess_blocks(lambda names: load_recording(path, names),
+                                       cfg.preproc_config(band), mont.names)
+            save_recording_blocks(blocks, tmp[name] / sid)
     if "envelopes_rs" in tmp:
         for side in ("left", "right"):
             env = load_envelope(out_dir / "envelopes" / f"{sid}.{side}")
@@ -526,6 +530,15 @@ def _str_list(a: np.ndarray) -> list[str]:
     return list(map(names.tolist().__getitem__, idx.tolist()))
 
 
+def _cache_with_targets(path: Path):
+    """A tensor cache's reader, its class targets (`LABEL_INDEX` of each
+    window's label, looked up once per distinct label) and its subject
+    list; the parsed label list goes on return."""
+    x, labels, subjects, _ = load_tensor_cache(path)
+    names, idx = np.unique(labels, return_inverse=True)
+    return x, np.array([LABEL_INDEX[n] for n in names.tolist()])[idx], subjects
+
+
 def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
     """Train the network per window size and per seed from the cached tensors."""
     if "cnn" not in cfg.models:
@@ -537,10 +550,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
         for ws in cfg.window_sizes_s:
             ws_dir = feat_root / _ws_tag(ws)
             # the caches are read batch by batch, never held whole
-            x_tr, lab_tr, _, _ = load_tensor_cache(ws_dir / "train")
-            x_va, lab_va, _, _ = load_tensor_cache(ws_dir / "validation")
-            y_tr = np.array([LABEL_INDEX[l] for l in lab_tr])
-            y_va = np.array([LABEL_INDEX[l] for l in lab_va])
+            x_tr, y_tr, _ = _cache_with_targets(ws_dir / "train")
+            x_va, y_va, _ = _cache_with_targets(ws_dir / "validation")
             with x_tr, x_va:
                 for k in range(cfg.seeds.runs):
                     seed = cfg.seeds.base + k
@@ -559,8 +570,7 @@ def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
     rows = []
     for ws in cfg.window_sizes_s:
         ws_dir = out_dir / "features" / _ws_tag(ws)
-        x_te, lab_te, subj_te, _ = load_tensor_cache(ws_dir / "test")
-        y_te = np.array([LABEL_INDEX[l] for l in lab_te])
+        x_te, y_te, subj_te = _cache_with_targets(ws_dir / "test")
         with x_te:
             for k in range(cfg.seeds.runs):
                 seed = cfg.seeds.base + k

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 from scipy import signal as sps
 
-from .data import RawRecording, Trial, _round_half_up
+from .data import RawRecording, Trial, _round_half_up, subset_recording
 
-# Channels run through the chain at a time by `preprocess_recording`: once
-# the reference mean is subtracted, every step treats each channel on its own.
-CHANNEL_BLOCK = 16
+# Channels run through the chain at a time by `preprocess_blocks`: once the
+# reference mean is subtracted, every step treats each channel on its own.
+CHANNEL_BLOCK = 8
 
 
 @dataclass
@@ -190,35 +191,44 @@ def normalize_trial(rec: RawRecording) -> RawRecording:
     return replace(rec, data=data, trials=[replace(t) for t in rec.trials]).validate()
 
 
-def preprocess_recording(
-    rec: RawRecording, cfg: PreprocConfig, channels: list[str] | None = None
-) -> RawRecording:
-    """Full chain: re-reference, bandpass, resample, normalize, of `channels`
-    in the order given (default: every channel but the references).
+def preprocess_blocks(
+    read: Callable[[list[str]], RawRecording], cfg: PreprocConfig, channels: list[str]
+) -> Iterator[RawRecording]:
+    """Full chain: re-reference, bandpass, resample, normalize, of `channels`,
+    CHANNEL_BLOCK at a time, in the order given.
 
-    Each step treats a channel on its own once the reference mean is
-    subtracted, so the chain runs on CHANNEL_BLOCK channels at a time,
-    gathered with the reference rows from `rec`, into one float64 output at
-    the target rate: the bytes of the four steps applied to the whole
-    recording, with no whole-recording copy beyond the output.
+    `read(names)` gives the recording of just those channels, in that order:
+    a block's channels and then the reference channels. Each block's output,
+    float64 at the target rate, comes as soon as it is done, and its rows
+    are the bytes of the four steps applied to the whole recording, since
+    each step treats a channel on its own once the reference mean (the same
+    values in every block) is subtracted.
     """
     cfg.validate()
     refs = list(cfg.reference_channels)
-    if channels is None:
-        channels = [c for c in rec.channels if c not in refs]
-    rows = [rec.channel_index(n) for n in [*channels, *refs]]
     if not channels:
         raise ValueError("re-referencing would drop every channel")
-    data = None
     for lo in range(0, len(channels), CHANNEL_BLOCK):
-        names = channels[lo : lo + CHANNEL_BLOCK]
-        picked = rows[lo : lo + len(names)] + rows[len(channels) :]
-        block = replace(rec, channels=[*names, *refs], data=rec.data[picked]).validate()
+        names = list(channels[lo : lo + CHANNEL_BLOCK])
         # nested, so each step's input is freed as soon as the next returns
-        block = normalize_trial(resample(
-            bandpass(rereference(block, refs), cfg.band, cfg.filter_order), cfg.target_rate
+        yield normalize_trial(resample(
+            bandpass(rereference(read([*names, *refs]), refs), cfg.band, cfg.filter_order),
+            cfg.target_rate,
         ))
+
+
+def preprocess_recording(
+    rec: RawRecording, cfg: PreprocConfig, channels: list[str] | None = None
+) -> RawRecording:
+    """`preprocess_blocks` of `channels` (default: every channel but the
+    references), gathered from `rec`, into one float64 output: no
+    whole-recording copy beyond the output."""
+    if channels is None:
+        channels = [c for c in rec.channels if c not in cfg.reference_channels]
+    data, lo = None, 0
+    for block in preprocess_blocks(functools.partial(subset_recording, rec), cfg, channels):
         if data is None:
             data = np.empty((len(channels), block.n_samples))
-        data[lo : lo + len(names)] = block.data
+        data[lo : lo + block.n_channels] = block.data
+        lo += block.n_channels
     return replace(block, channels=list(channels), data=data).validate()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from asad import baseline
 from asad.baseline import (
+    LAMBDA_GRID,
     ROW_CHUNK,
     Envelope,
     LinearDecoder,
@@ -396,3 +398,25 @@ def test_solve_cholesky_matches_lu(rng):
         baseline._solve(singular, r_cross, 0.0)
     with pytest.raises(ValueError, match="lambda must be >= 0"):
         baseline._solve(r_auto, r_cross, -1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 48), seed=st.integers(0, 2**32 - 1), exact_symmetry=st.booleans())
+def test_solve_factor_matches_c_order_cholesky_bits(n, seed, exact_symmetry):
+    """`_solve` factors a Fortran-ordered copy of the system; it gives the
+    bits of scipy's factor of the C-ordered system, which scipy copies into
+    Fortran order itself, on every lambda of the default grid, also when R
+    is symmetric only to rounding, as `accumulate_covariances` gives it for
+    real row weights."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n + 8, n))
+    r_auto = x.T @ x
+    if not exact_symmetry:
+        r_auto = r_auto + r_auto * rng.uniform(-1e-15, 1e-15, size=(n, n))
+    r_cross = rng.normal(size=n)
+    for lam in LAMBDA_GRID:
+        a = r_auto.copy()
+        a.flat[:: n + 1] += lam * float(np.mean(np.diag(r_auto)))
+        ref = cho_solve(cho_factor(a, overwrite_a=True, check_finite=False), r_cross,
+                        check_finite=False)
+        assert baseline._solve(r_auto, r_cross, lam).tobytes() == ref.tobytes()

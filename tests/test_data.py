@@ -101,6 +101,22 @@ def test_save_recording_chunks_give_whole_cast_bytes(tmp_path, dtype, order):
     assert payload.read_bytes() == data.astype("<f4").tobytes()
 
 
+def test_load_recording_reads_the_channels_asked_for(tmp_path):
+    """Only the rows of the channels given, in their order; a non-finite
+    sample is named by its channel's place in the container."""
+    rec = make_recording(n_channels=5, n_samples=64, seed=4)
+    rec.data[3, 9] = np.inf
+    save_recording(rec, tmp_path / "r")
+    out = load_recording(tmp_path / "r", ["c4", "c0", "c2"])
+    assert out.channels == ["c4", "c0", "c2"]
+    assert out.data.tobytes() == rec.data[[4, 0, 2]].astype("<f4").tobytes()
+    assert out.trials == rec.trials and out.sample_rate == rec.sample_rate
+    with pytest.raises(ValueError, match=r"r.f32: channel 3 \('c3'\), sample 9"):
+        load_recording(tmp_path / "r", ["c0", "c3"])
+    with pytest.raises(ValueError, match="unknown channel 'x'"):
+        load_recording(tmp_path / "r", ["c0", "x"])
+
+
 def test_roundtrip_byte_identical(tmp_path):
     # write-then-read oracle over randomly generated recordings
     for seed in range(5):

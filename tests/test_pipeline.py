@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -9,7 +10,21 @@ import pytest
 
 from asad import network, pipeline
 from asad.cli import main
-from asad.data import LABEL_INDEX, LABELS, LEFT, WindowSet, load_recording
+from asad.baseline import synth_envelope
+from asad.data import (
+    LABEL_INDEX,
+    LABELS,
+    LEFT,
+    RawRecording,
+    Trial,
+    WindowSet,
+    _round_half_up,
+    container_paths,
+    load_recording,
+    save_recording,
+    synth_recording,
+)
+from asad.preprocess import CHANNEL_BLOCK, preprocess_recording
 from asad.features import load_tensor_cache, save_tensor_cache
 from asad.geometry import project_electrodes
 from asad.pipeline import (
@@ -377,6 +392,116 @@ def test_feature_band_outside_preprocessing_band_exits_2(tmp_path):
     # the c06 band lies inside the default preprocessing band
     config_from_dict({**TINY, "features": {"band": [9.0, 11.0]}})
     config_from_dict({**TINY, "features": {"band": [8.0, 13.0]}})
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def _one_subject(seconds: float, models=("linear",)):
+    """A one-subject config of 64 + 2 channels at 128 Hz, with envelope
+    mixing, and its montage."""
+    cfg = config_from_dict({**TINY, "models": list(models),
+                            "synth": {**TINY["synth"], "n_subjects": 1, "duration_s": seconds}})
+    return cfg, pipeline.resolve_montage(cfg)
+
+
+def _synth_subject_on_a_copy(cfg, mont, i, rec_dir, env_dir):
+    """`_synth_subject` with the envelope mixed into a float64 copy of the
+    recording: the reference for the mixing in place."""
+    s, sid = cfg.synth, f"S{i:02d}"
+    rec = synth_recording(dataclasses.replace(s, seed=s.seed + i), mont, sid, cfg.reference_channels)
+    n_samples = _round_half_up(s.duration_s * s.sample_rate)
+    env_l, env_r = (synth_envelope(n_samples, s.sample_rate, f"{sid}.{side}",
+                                   np.random.default_rng((s.seed, i, k)))
+                    for k, side in ((1, "left"), (2, "right")))
+    lag = _round_half_up(s.envelope_max_lag_s * s.sample_rate)
+    kernels = np.random.default_rng((s.seed, i, 3)).normal(0.0, 1.0, size=(rec.n_channels, lag + 1))
+    kernels *= s.envelope_mix_gain / math.sqrt(lag + 1)
+    data = rec.data.astype(float)
+    for tr in rec.trials:
+        seg = (env_l if tr.label == LEFT else env_r).samples[tr.start : tr.end]
+        for c in range(rec.n_channels):
+            data[c, tr.start : tr.end] += np.convolve(seg, kernels[c])[: tr.length]
+    save_recording(dataclasses.replace(rec, data=data), rec_dir / sid)
+
+
+def test_synth_subject_mixes_in_place_with_the_bytes_of_a_copy(tmp_path):
+    cfg, mont = _one_subject(60.0)
+    for name in ("rec", "env", "want"):
+        (tmp_path / name).mkdir()
+    pipeline._synth_subject(cfg, mont, 0, tmp_path / "rec", tmp_path / "env")
+    _synth_subject_on_a_copy(cfg, mont, 0, tmp_path / "want", tmp_path / "env")
+    for got, want in zip(container_paths(tmp_path / "rec" / "S00"),
+                         container_paths(tmp_path / "want" / "S00")):
+        assert got.read_bytes() == want.read_bytes()
+
+
+def test_synth_subject_memory_holds_one_recording(tmp_path):
+    """With envelope mixing, `_synth_subject`'s traced peak stays below 1.5x
+    one float64 recording: the envelope is mixed into the recording's own
+    samples (1.15x; 2.0x with a mixed copy)."""
+    cfg, mont = _one_subject(120.0)
+    (tmp_path / "rec").mkdir()
+    (tmp_path / "env").mkdir()
+    run = lambda: pipeline._synth_subject(cfg, mont, 0, tmp_path / "rec", tmp_path / "env")  # noqa: E731
+    run()  # imports and first-call allocations
+    recording = (cfg.synth.n_channels + 2) * _round_half_up(120.0 * 128.0) * 8
+    assert _traced_peak(run) < 1.5 * recording
+
+
+def _preprocessed_subject_workspace(root: Path, seconds: float):
+    """A synthesized one-subject workspace, the temporary output directories
+    of stage_preprocess for both models, and the config and montage."""
+    cfg, mont = _one_subject(seconds, ("cnn", "linear"))
+    pipeline.stage_synth(cfg, root)
+    tmp = {name: root / f".tmp-{name}"
+           for name in ("preprocessed", "preprocessed_baseline", "envelopes_rs")}
+    for d in tmp.values():
+        d.mkdir()
+    return cfg, mont, tmp
+
+
+def test_preprocess_subject_writes_the_whole_array_bytes(tmp_path):
+    """Blocks read from the container and written as they come give the
+    containers that the whole loaded recording, preprocessed into one output
+    and saved, gives; a montage of 64 channels is 8 blocks of 8."""
+    cfg, mont, tmp = _preprocessed_subject_workspace(tmp_path, 60.0)
+    path = tmp_path / "recordings" / "S00.json"
+    pipeline._preprocess_subject(cfg, mont, path, tmp_path, tmp)
+    rec = load_recording(path)
+    for name, band in (("preprocessed", None), ("preprocessed_baseline", cfg.baseline.band)):
+        want = tmp_path / f"whole-{name}"
+        save_recording(preprocess_recording(rec, cfg.preproc_config(band), mont.names), want)
+        for got, whole in zip(container_paths(tmp[name] / "S00"), container_paths(want)):
+            assert got.read_bytes() == whole.read_bytes()
+
+
+def test_preprocess_subject_memory_holds_one_block(tmp_path):
+    """`_preprocess_subject`'s traced peak, both models' chains, stays below
+    the whole input's float32 size plus the traced peak of one block's chain
+    (its output included), at 1x and 2x the duration: neither the recording
+    nor an output is held whole (0.5x that figure; 1.4x when the recording
+    is loaded whole and each output preprocessed whole before it is saved)."""
+    for seconds in (60.0, 120.0):
+        root = tmp_path / f"s{seconds:g}"
+        cfg, mont, tmp = _preprocessed_subject_workspace(root, seconds)
+        path = root / "recordings" / "S00.json"
+        run = lambda: pipeline._preprocess_subject(cfg, mont, path, root, tmp)  # noqa: E731
+        run()  # imports, filter designs and first-call allocations
+        n = _round_half_up(seconds * 128.0)
+        names = [*mont.names[:CHANNEL_BLOCK], *cfg.reference_channels]
+        block = RawRecording("b", 128.0, names,
+                             np.random.default_rng(1).normal(size=(len(names), n)).astype(np.float32),
+                             [Trial(0, n // 2, LEFT), Trial(n // 2, n, LEFT)])
+        chain = _traced_peak(lambda: preprocess_recording(block, cfg.preproc_config()))
+        whole_input = (len(mont.names) + 2) * n * 4
+        assert _traced_peak(run) < whole_input + chain
 
 
 def test_extract_memory_does_not_grow_with_windows(rng):

@@ -3,7 +3,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from asad.data import LEFT, RIGHT, RawRecording, Trial, _round_half_up, subset_recording
+from asad.data import (
+    LEFT,
+    RIGHT,
+    RawRecording,
+    Trial,
+    _round_half_up,
+    container_paths,
+    save_recording,
+    save_recording_blocks,
+    subset_recording,
+)
 from asad.preprocess import (
     CHANNEL_BLOCK,
     PreprocConfig,
@@ -13,6 +23,7 @@ from asad.preprocess import (
     _zero_phase,
     bandpass,
     normalize_trial,
+    preprocess_blocks,
     preprocess_recording,
     rereference,
     resample,
@@ -235,6 +246,36 @@ def test_chain_matches_copy_based_steps(n_channels, fs, n_trials, dtype):
     assert rec.data.dtype == dtype and rec.n_channels == n_channels + 2  # input untouched
 
 
+@pytest.mark.parametrize("n_trials", [1, 3])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_streamed_container_has_whole_array_bytes(tmp_path, dtype, n_trials):
+    """The chain's blocks, written as they come by save_recording_blocks,
+    give the container that save_recording writes of the copy-based
+    chain's whole float64 output, for a partial last block."""
+    rec = _eeg_recording(2 * CHANNEL_BLOCK + 3, 30.0, n_trials=n_trials, dtype=dtype, seed=n_trials)
+    cfg = PreprocConfig(reference_channels=["m1", "m2"])
+    channels = rec.channels[:-2]
+    blocks = preprocess_blocks(lambda names: subset_recording(rec, names), cfg, channels)
+    save_recording_blocks(blocks, tmp_path / "streamed")
+    data, trials = _copy_based_chain(rec, cfg)
+    save_recording(RawRecording(rec.subject_id, cfg.target_rate, channels, data, trials),
+                   tmp_path / "whole")
+    for streamed, whole in zip(container_paths(tmp_path / "streamed"),
+                               container_paths(tmp_path / "whole")):
+        assert streamed.read_bytes() == whole.read_bytes()
+
+
+def test_save_recording_blocks_refuses_mismatched_blocks(tmp_path):
+    rec = _eeg_recording(4, 10.0)
+    a, b = subset_recording(rec, ["c0", "c1"]), subset_recording(rec, ["c2", "c3"])
+    b.trials = b.trials[:-1]
+    with pytest.raises(ValueError, match="channel blocks differ"):
+        save_recording_blocks([a, b], tmp_path / "r")
+    with pytest.raises(ValueError, match="no channel blocks"):
+        save_recording_blocks([], tmp_path / "r")
+    assert not any(tmp_path.iterdir())  # nothing is left behind
+
+
 def test_chain_of_chosen_channels_matches_chain_of_their_subset():
     """`channels` picks and orders the channels straight from the recording:
     the bytes of the chain run on a copy holding those channels and the
@@ -263,10 +304,11 @@ def test_resample_series_channel_blocks_match_whole():
 
 
 def test_chain_memory_bounded():
-    """The chain's traced peak, less its output, stays within 1.1x the
+    """The chain's traced peak, less its output, stays within 0.6x the
     input's float64 size at 1x and 2x the duration: no whole-recording
-    copy, re-referenced or otherwise, only a few blocks of channels (0.90x
-    with 16-channel blocks; 1.25x with a whole re-referenced copy)."""
+    copy, re-referenced or otherwise, only a few blocks of channels (0.45x
+    with 8-channel blocks, 0.90x with 16; 1.25x with a whole re-referenced
+    copy)."""
     cfg = PreprocConfig(reference_channels=["m1", "m2"])
     preprocess_recording(_eeg_recording(64, 4.0), cfg)  # warm up scipy
     for seconds in (60.0, 120.0):
@@ -277,4 +319,4 @@ def test_chain_memory_bounded():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - out.data.nbytes <= 1.1 * rec.data.size * 8
+        assert peak - out.data.nbytes <= 0.6 * rec.data.size * 8
