@@ -44,7 +44,9 @@ LABELS = (LEFT, RIGHT)
 LABEL_INDEX = {LEFT: 0, RIGHT: 1}
 
 MIDLINE_TOL = 1e-9  # |x| below this counts as neither hemisphere
-RECORDING_CHUNK = 16  # channels cast to float32 and written at a time by save_recording
+# Channels of a recording written, or run through the preprocessing chain,
+# at a time: no step holds a whole recording as float32 or float64.
+CHANNEL_BLOCK = 8
 
 
 def _round_half_up(x: float) -> int:
@@ -372,9 +374,8 @@ def _payload_shape(data_path: Path, size: int, shape: tuple[int, ...]) -> tuple[
 def read_payload(path: str | Path, shape: tuple[int, ...]) -> np.ndarray:
     """The float32 payload reshaped to `shape`, where one dimension may be -1;
     its size is checked before it is read."""
-    _, data_path = container_paths(path)
-    shape = _payload_shape(data_path, data_path.stat().st_size, shape)
-    return np.fromfile(data_path, dtype="<f4").reshape(shape)
+    with PayloadRows(path, shape) as payload:
+        return payload[:]
 
 
 class PayloadRows:
@@ -430,6 +431,8 @@ class PayloadRows:
         n = len(self)
         if isinstance(key, slice):
             rows = range(n)[key]
+            if rows.step == 1:  # one run of rows, read without an index array
+                return self._gather(rows)[(slice(None), *rest)]
             idx = np.arange(rows.start, rows.stop, rows.step, dtype=np.intp)
         elif np.ndim(key) == 0:
             i = operator.index(key)
@@ -447,15 +450,15 @@ class PayloadRows:
         out = self._gather(idx.ravel()).reshape(idx.shape + self.shape[1:])
         return out[(slice(None),) * idx.ndim + rest] if rest else out
 
-    def _gather(self, idx: np.ndarray) -> np.ndarray:
-        """Rows `idx` (non-negative, in range) in order, one read per run
-        of consecutive rows."""
+    def _gather(self, idx: np.ndarray | range) -> np.ndarray:
+        """Rows `idx` (non-negative, in range; an array, or a range of step
+        1) in order, one read per run of consecutive rows."""
         out = np.empty((len(idx),) + self.shape[1:], dtype=self.dtype)
         if not len(idx):
             return out
         flat = memoryview(out.reshape(-1).view(np.uint8))
-        breaks = np.flatnonzero(np.diff(idx) != 1) + 1
-        for lo, hi in zip([0, *breaks.tolist()], [*breaks.tolist(), len(idx)]):
+        breaks = [] if isinstance(idx, range) else (np.flatnonzero(np.diff(idx) != 1) + 1).tolist()
+        for lo, hi in zip([0, *breaks], [*breaks, len(idx)]):
             self._read_into(flat[lo * self._row_bytes : hi * self._row_bytes],
                             int(idx[lo]) * self._row_bytes)
         return out
@@ -478,18 +481,20 @@ def _recording_header(rec: RawRecording) -> dict:
 
 
 def save_recording(rec: RawRecording, path: str | Path) -> Path:
-    """Write the JSON header + float32 payload pair, RECORDING_CHUNK channels
+    """Write the JSON header + float32 payload pair, CHANNEL_BLOCK channels
     at a time (no float32 copy of the whole recording). Returns the header path."""
     rec.validate()
-    rows = (rec.data[lo : lo + RECORDING_CHUNK] for lo in range(0, rec.n_channels, RECORDING_CHUNK))
-    return write_container_chunks(path, "recording", _recording_header(rec), rows)
+    blocks = (replace(rec, channels=rec.channels[lo : lo + CHANNEL_BLOCK],
+                      data=rec.data[lo : lo + CHANNEL_BLOCK])
+              for lo in range(0, rec.n_channels, CHANNEL_BLOCK))
+    return save_recording_blocks(blocks, path)
 
 
 def save_recording_blocks(blocks: Iterable[RawRecording], path: str | Path) -> Path:
-    """`save_recording` of a recording given as consecutive channel blocks,
-    which share its subject, rate and trials: each block is cast to float32
-    and written as it comes, so the recording is never held whole. Returns
-    the header path."""
+    """Write a recording given as consecutive channel blocks, which share
+    its subject, rate and trials: each block is cast to float32 and written
+    as it comes, so the recording is never held whole. Returns the header
+    path."""
     header: dict = {}  # filled from the blocks; encoded once the last one is written
 
     def rows():
@@ -511,19 +516,17 @@ def save_recording_blocks(blocks: Iterable[RawRecording], path: str | Path) -> P
 
 def load_recording(path: str | Path, channels: list[str] | None = None) -> RawRecording:
     """The recording at `path`, or only its `channels`, in the order given,
-    whose rows alone are read. Either way every sample read is checked to
+    whose rows alone are read; with no channels, none are, and the recording
+    has zero rows of the payload's length. Every sample read is checked to
     be finite."""
     header = read_header(path, "recording", ("subject_id", "sample_rate", "channels", "trials"))
     names = [str(c) for c in header["channels"]]
-    if channels is None:
-        rows, data = range(len(names)), read_payload(path, (len(names), -1))
-    else:
-        unknown = [c for c in channels if c not in names]
-        if unknown:
-            raise ValueError(f"unknown channel {unknown[0]!r}")
-        rows = [names.index(c) for c in channels]
-        with PayloadRows(path, (len(names), -1)) as payload:
-            data = payload[rows]
+    unknown = [c for c in channels or () if c not in names]
+    if unknown:
+        raise ValueError(f"unknown channel {unknown[0]!r}")
+    rows = range(len(names)) if channels is None else [names.index(c) for c in channels]
+    with PayloadRows(path, (len(names), -1)) as payload:
+        data = payload[rows]
     finite = np.isfinite(data)
     if not finite.all():
         i, sample = divmod(int(np.argmin(finite)), data.shape[1])
@@ -575,16 +578,6 @@ def subset_recording(rec: RawRecording, keep: list[str]) -> RawRecording:
         data=rec.data[rec_idx],  # fancy indexing already copies
         trials=[replace(t) for t in rec.trials],
     ).validate()
-
-
-def subset_channels(
-    rec: RawRecording, montage: Montage, keep: list[str]
-) -> tuple[RawRecording, Montage]:
-    """Restrict recording and montage to `keep`, in the order given."""
-    new_rec = subset_recording(rec, keep)
-    mon_idx = [montage.index(n) for n in keep]
-    new_mon = Montage(names=list(keep), positions=montage.positions[mon_idx].copy()).validate()
-    return new_rec, new_mon
 
 
 def window_hop(window_samples: int, overlap_fraction: float) -> int:

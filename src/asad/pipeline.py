@@ -55,12 +55,10 @@ from .data import (
     dump_header,
     load_montage,
     load_recording,
-    read_header,
     save_recording,
     save_recording_blocks,
     segment_windows,
     stratified_split,
-    subset_channels,
     synth_recording,
 )
 from .features import (
@@ -375,13 +373,13 @@ def resolve_montage(cfg: PipelineConfig) -> Montage:
     return mont
 
 
-def _recording_paths(cfg: PipelineConfig, out_dir: Path) -> list[Path]:
-    root = Path(cfg.recordings_dir) if cfg.recordings_dir else out_dir / "recordings"
+def _input_paths(root: Path, stage: str) -> list[Path]:
+    """The containers under `root`, a directory that `stage` writes, in name order."""
     if not root.is_dir():
-        raise FileNotFoundError(f"recordings directory {root} not found (run synth first?)")
+        raise FileNotFoundError(f"{root} not found (run {stage} first?)")
     paths = sorted(root.glob("*.json"))
     if not paths:
-        raise FileNotFoundError(f"no recording containers under {root}")
+        raise FileNotFoundError(f"no containers under {root} (run {stage} first?)")
     return paths
 
 
@@ -426,7 +424,7 @@ def stage_preprocess(cfg: PipelineConfig, out_dir: Path) -> None:
     alpha-band chain for the CNN, the broadband chain and the resampled
     envelopes for the linear decoder."""
     mont = resolve_montage(cfg)
-    paths = _recording_paths(cfg, out_dir)
+    paths = _input_paths(Path(cfg.recordings_dir or out_dir / "recordings"), "synth")
     names = (("preprocessed",) if "cnn" in cfg.models else ()) + (
         ("preprocessed_baseline", "envelopes_rs") if "linear" in cfg.models else ()
     )
@@ -441,7 +439,7 @@ def _preprocess_subject(cfg: PipelineConfig, mont: Montage, path: Path, out_dir:
     order, one channel block at a time: each block's rows and the reference
     rows are read from the container, and its output is written as soon as
     it is done, so neither the recording nor an output is held whole."""
-    sid = str(read_header(path, "recording", ("subject_id",))["subject_id"])
+    sid = load_recording(path, []).subject_id
     for name, band in (("preprocessed", None), ("preprocessed_baseline", cfg.baseline.band)):
         if name in tmp:
             blocks = preprocess_blocks(lambda names: load_recording(path, names),
@@ -453,18 +451,6 @@ def _preprocess_subject(cfg: PipelineConfig, mont: Montage, path: Path, out_dir:
             rs = resample_series(env.samples, env.sample_rate, cfg.target_rate)
             env_rs = Envelope(np.clip(rs, 0.0, None), env.speaker_id, cfg.target_rate)
             save_envelope(env_rs, tmp["envelopes_rs"] / f"{sid}.{side}")
-
-
-def _preprocessed_paths(out_dir: Path, sub_dir: str = "preprocessed") -> list[Path]:
-    root = out_dir / sub_dir
-    if not root.is_dir():
-        raise FileNotFoundError(f"{root} not found (run preprocess first?)")
-    return sorted(root.glob("*.json"))
-
-
-def _without_samples(rec: RawRecording) -> RawRecording:
-    """`rec` with a zero-stride stand-in for its samples, which the split does not read."""
-    return replace(rec, data=np.broadcast_to(np.float32(0), rec.data.shape))
 
 
 def build_split(cfg: PipelineConfig, recs: list[RawRecording], window_s: float):
@@ -507,9 +493,9 @@ def stage_extract(cfg: PipelineConfig, out_dir: Path) -> None:
     if "cnn" not in cfg.models:
         return
     layout = project_electrodes(resolve_montage(cfg))
-    paths = _preprocessed_paths(out_dir)
+    paths = _input_paths(out_dir / "preprocessed", "preprocess")
     # the split reads no samples; each partition's maps load one subject at a time
-    recs = [_without_samples(load_recording(p)) for p in paths]
+    recs = [load_recording(p, []) for p in paths]
     data = {rec.subject_id: p for rec, p in zip(recs, paths)}
     feat = cfg.features
     with stage_output(out_dir, "features") as (tmp,):
@@ -605,7 +591,7 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
     decoder's lambda, validation accuracy and training rows in decoders.csv."""
     if "linear" not in cfg.models:
         return
-    paths = _preprocessed_paths(out_dir, "preprocessed_baseline")
+    paths = _input_paths(out_dir / "preprocessed_baseline", "preprocess")
     for ws, why in short_linear_windows(cfg).items():
         print(f"baseline: skipping linear at {ws:g} s windows ({why})", file=sys.stderr)
     rows, choices = [], []
@@ -625,9 +611,8 @@ def _baseline_subject(cfg: PipelineConfig, out_dir: Path, path: Path, dec_dir: P
                       rows: list[tuple], choices: list[tuple]) -> None:
     """Fit, save and score one subject's decoders, appending its metric rows and
     choices; a call of its own, so its arrays go before the next subject's come."""
-    rec = load_recording(path)
-    eeg = rec.data.astype(float)
-    rec = _without_samples(rec)  # the float32 samples go once cast
+    eeg = load_recording(path).data.astype(float)  # the float32 samples go once cast
+    rec = load_recording(path, [])  # the split reads no samples
     sid = rec.subject_id
     env_l, env_r = (
         load_envelope(out_dir / "envelopes_rs" / f"{sid}.{side}").samples
@@ -790,8 +775,7 @@ def dump_map(
 ) -> tuple[Path, Path]:
     """Write one window's map as ASCII PGM plus raw CSV."""
     mont = resolve_montage(cfg)
-    rec = load_recording(recording)
-    rec, mont = subset_channels(rec, mont, list(mont.names))
+    rec = load_recording(recording, list(mont.names))
     ws = window_s if window_s is not None else cfg.window_sizes_s[0]
     windows = segment_windows(rec, ws, cfg.overlap_fraction)
     if not (0 <= window_index < len(windows)):

@@ -17,11 +17,7 @@ from fractions import Fraction
 import numpy as np
 from scipy import signal as sps
 
-from .data import RawRecording, Trial, _round_half_up, subset_recording
-
-# Channels run through the chain at a time by `preprocess_blocks`: once the
-# reference mean is subtracted, every step treats each channel on its own.
-CHANNEL_BLOCK = 8
+from .data import CHANNEL_BLOCK, RawRecording, Trial, _round_half_up, subset_recording
 
 
 @dataclass
@@ -99,16 +95,20 @@ def _impulse_settle_len(sos: np.ndarray, fs: float, tol: float = 1e-9) -> int:
     return n
 
 
+def _reflect_pad(x: np.ndarray, pad: int) -> np.ndarray:
+    """`x` extended along its last axis by `pad` samples mirrored about each
+    end sample (which is not repeated); `x` itself when `pad` is 0."""
+    if pad <= 0:
+        return x
+    return np.concatenate([x[..., 1 : pad + 1][..., ::-1], x, x[..., -pad - 1 : -1][..., ::-1]],
+                          axis=-1)
+
+
 def _zero_phase(sos: np.ndarray, x: np.ndarray, pad: int) -> np.ndarray:
     """Forward pass, time-reverse, second pass, reverse; reflect-padded."""
     n = x.shape[-1]
     pad = min(pad, n - 1)
-    if pad > 0:
-        left = x[..., 1 : pad + 1][..., ::-1]
-        right = x[..., -pad - 1 : -1][..., ::-1]
-        ext = np.concatenate([left, x, right], axis=-1)
-    else:
-        ext = x
+    ext = _reflect_pad(x, pad)
     y = sps.sosfilt(sos, ext, axis=-1)
     del ext  # the padded input is not needed for the backward pass
     y = sps.sosfilt(sos, y[..., ::-1], axis=-1)[..., ::-1]
@@ -146,13 +146,7 @@ def resample_series(x: np.ndarray, fs: float, target_rate: float) -> np.ndarray:
     half_len_in = 10 * max(up, down) / up  # scipy's default filter half-length
     k = int(math.ceil((half_len_in + 1) / down)) + 1
     pad = min(k * down, (n - 1) // down * down)
-    if pad > 0:
-        left = x[..., 1 : pad + 1][..., ::-1]
-        right = x[..., -pad - 1 : -1][..., ::-1]
-        ext = np.concatenate([left, x, right], axis=-1)
-    else:
-        ext = x
-    y = sps.resample_poly(ext, up, down, axis=-1, window=("kaiser", 8.6))
+    y = sps.resample_poly(_reflect_pad(x, pad), up, down, axis=-1, window=("kaiser", 8.6))
     off = pad * up // down
     return np.ascontiguousarray(y[..., off : off + n_out])
 

@@ -1,4 +1,5 @@
 import json
+import os
 import tracemalloc
 import zlib
 
@@ -7,10 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from asad.data import (
+    CHANNEL_BLOCK,
     LABEL_INDEX,
     LABELS,
     LEFT,
-    RECORDING_CHUNK,
     RIGHT,
     RawRecording,
     SynthConfig,
@@ -21,7 +22,6 @@ from asad.data import (
     save_recording,
     segment_windows,
     stratified_split,
-    subset_channels,
     synth_recording,
     window_hop,
 )
@@ -91,9 +91,9 @@ def test_overlapping_trials_rejected():
 @pytest.mark.parametrize("order", ["C", "F"])
 @pytest.mark.parametrize("dtype", [np.float64, np.float32])
 def test_save_recording_chunks_give_whole_cast_bytes(tmp_path, dtype, order):
-    """A channel count that is not a multiple of RECORDING_CHUNK, written a
-    chunk at a time, gives the bytes of one whole-array float32 cast."""
-    n_ch = 2 * RECORDING_CHUNK + 3
+    """A channel count that is not a multiple of CHANNEL_BLOCK, written a
+    block at a time, gives the bytes of one whole-array float32 cast."""
+    n_ch = 2 * CHANNEL_BLOCK + 3
     data = np.random.default_rng(8).normal(size=(n_ch, 301)).astype(dtype, order=order)
     rec = RawRecording("s", 10.0, [f"c{i}" for i in range(n_ch)], data, [Trial(0, 301, LEFT)])
     save_recording(rec, tmp_path / "r")
@@ -117,6 +117,30 @@ def test_load_recording_reads_the_channels_asked_for(tmp_path):
         load_recording(tmp_path / "r", ["c0", "x"])
 
 
+def test_load_recording_of_no_channels_reads_only_the_header(tmp_path, monkeypatch):
+    """No channels asked for: zero rows, the header's trials and rate, and
+    the payload's sample count, with no payload read at all."""
+    rec = make_recording(n_channels=5, n_samples=64, seed=5)
+    rec.data[2, 7] = np.nan  # not read, so not refused
+    save_recording(rec, tmp_path / "r")
+    reads = []
+    monkeypatch.setattr(os, "preadv", lambda *a: reads.append(a) or 0)
+    out = load_recording(tmp_path / "r", [])
+    assert reads == []
+    assert out.channels == [] and out.data.shape == (0, 64) and out.n_samples == 64
+    assert out.trials == rec.trials and out.sample_rate == rec.sample_rate
+    assert out.subject_id == rec.subject_id
+
+
+def test_load_recording_of_no_channels_refuses_a_truncated_payload(tmp_path):
+    save_recording(make_recording(n_channels=5, n_samples=64), tmp_path / "r")
+    _, payload = container_paths(tmp_path / "r")
+    payload.write_bytes(payload.read_bytes()[:-4])
+    for channels in ([], None):
+        with pytest.raises(ValueError, match="payload shape mismatch"):
+            load_recording(tmp_path / "r", channels)
+
+
 def test_roundtrip_byte_identical(tmp_path):
     # write-then-read oracle over randomly generated recordings
     for seed in range(5):
@@ -134,37 +158,43 @@ def test_roundtrip_byte_identical(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# channel subsetting
+# channel subsetting, by the container read
 # ---------------------------------------------------------------------------
 
-def test_subset_identity():
+def _saved_with_names(tmp_path, names, n_samples=100):
+    rec = make_recording(n_channels=len(names), n_samples=n_samples)
+    rec.channels = list(names)
+    save_recording(rec, tmp_path / "r")
+    return rec
+
+
+def test_subset_identity(tmp_path):
     mont = bundled_montage("biosemi64")
-    rec = make_recording(n_channels=64, n_samples=100)
-    rec.channels = list(mont.names)
-    out_rec, out_mont = subset_channels(rec, mont, list(mont.names))
-    assert out_rec.channels == rec.channels
-    assert np.array_equal(out_rec.data, rec.data)
-    assert np.array_equal(out_mont.positions, mont.positions)
+    rec = _saved_with_names(tmp_path, mont.names)
+    out = load_recording(tmp_path / "r", list(mont.names))
+    assert out.channels == rec.channels
+    assert np.array_equal(out.data, rec.data.astype(np.float32))
+    assert out.data.tobytes() == load_recording(tmp_path / "r").data.tobytes()
 
 
-def test_subset_64_to_32():
+def test_subset_64_to_32(tmp_path):
     mont64 = bundled_montage("biosemi64")
     mont32 = bundled_montage("biosemi32")
-    rec = make_recording(n_channels=64, n_samples=120)
-    rec.channels = list(mont64.names)
-    out_rec, out_mont = subset_channels(rec, mont64, list(mont32.names))
-    assert out_rec.data.shape == (32, 120)
-    assert out_rec.n_samples == rec.n_samples
-    assert out_mont.names == list(mont32.names)
-    assert out_rec.trials[0].label == rec.trials[0].label
+    rec = _saved_with_names(tmp_path, mont64.names, n_samples=120)
+    out = load_recording(tmp_path / "r", list(mont32.names))
+    assert out.data.shape == (32, 120)
+    assert out.n_samples == rec.n_samples
+    assert out.channels == list(mont32.names)
+    rows = [mont64.index(n) for n in mont32.names]
+    assert np.array_equal(out.data, rec.data[rows].astype(np.float32))
+    assert out.trials == rec.trials
 
 
-def test_subset_unknown_channel():
+def test_subset_unknown_channel(tmp_path):
     mont = bundled_montage("biosemi32")
-    rec = make_recording(n_channels=32)
-    rec.channels = list(mont.names)
+    _saved_with_names(tmp_path, mont.names)
     with pytest.raises(ValueError, match="XX"):
-        subset_channels(rec, mont, ["XX"])
+        load_recording(tmp_path / "r", ["XX"])
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from asad.interpolate import interpolator
 from asad.pipeline import (
     EXTRACT_CHUNK,
     FeatureSection,
-    _preprocessed_paths,
+    _input_paths,
     build_split,
     config_from_dict,
     partition_maps,
@@ -239,7 +239,7 @@ def test_stage_extract_cache_matches_per_window_reference(tmp_path):
     vs = vmin + (np.arange(32) + 0.5) * (vmax - vmin) / 32
     uu, vv = np.meshgrid(us, vs, indexing="xy")
     query = np.column_stack([uu.ravel(), vv.ravel()])
-    recs = [load_recording(p) for p in _preprocessed_paths(tmp_path)]
+    recs = [load_recording(p) for p in _input_paths(tmp_path / "preprocessed", "preprocess")]
     data = {rec.subject_id: rec.data for rec in recs}
     wins = build_split(cfg, recs, 1.0).test
     assert labels == [w.label for w in wins]

@@ -304,6 +304,26 @@ def test_dump_map_lateralized(tiny_workspace, tmp_path):
         assert right_mean > left_mean
 
 
+def test_dump_map_reads_only_the_montage_channels(tiny_workspace, tmp_path):
+    """A non-finite sample in a reference channel, which the map does not
+    use, leaves the map as it is."""
+    cfg_path, out = tiny_workspace
+    header, payload = container_paths(out / "recordings" / "S00")
+    for name in ("clean", "nan"):
+        (tmp_path / name).mkdir()
+        shutil.copy(header, tmp_path / name / header.name)
+        shutil.copy(payload, tmp_path / name / payload.name)
+    channels = json.loads(header.read_text())["channels"]
+    data = np.fromfile(payload, dtype="<f4").reshape(len(channels), -1)
+    data[channels.index("M1"), 5] = np.nan
+    data.tofile(tmp_path / "nan" / payload.name)
+    for name in ("clean", "nan"):
+        assert main(["dump-map", "--config", str(cfg_path), "--out", str(tmp_path / "d"),
+                     "--recording", str(tmp_path / name / header.name), "--window-index", "0",
+                     "--prefix", name]) == 0
+    assert (tmp_path / "d" / "nan.csv").read_bytes() == (tmp_path / "d" / "clean.csv").read_bytes()
+
+
 def test_dump_map_out_of_range_exits_2(tiny_workspace, tmp_path):
     cfg_path, out = tiny_workspace
     rec = out / "recordings" / "S00.json"
@@ -502,6 +522,25 @@ def test_preprocess_subject_memory_holds_one_block(tmp_path):
         chain = _traced_peak(lambda: preprocess_recording(block, cfg.preproc_config()))
         whole_input = (len(mont.names) + 2) * n * 4
         assert _traced_peak(run) < whole_input + chain
+
+
+def test_extract_reads_only_headers_for_the_split(tmp_path, monkeypatch):
+    """Extract's split reads each preprocessed container's header, and its
+    samples are loaded whole only for the maps: once per partition, one
+    subject at a time."""
+    cfg = config_from_dict({**TINY, "models": ["cnn"]})
+    pipeline.stage_synth(cfg, tmp_path)
+    pipeline.stage_preprocess(cfg, tmp_path)
+    calls, load = [], pipeline.load_recording
+    monkeypatch.setattr(pipeline, "load_recording",
+                        lambda path, channels=None: calls.append((Path(path).stem, channels))
+                        or load(path, channels))
+    pipeline.stage_extract(cfg, tmp_path)
+    subjects = ["S00", "S01"]
+    assert [sid for sid, channels in calls if channels == []] == subjects
+    whole = [sid for sid, channels in calls if channels is None]
+    assert sorted(whole) == sorted(subjects * 3 * len(cfg.window_sizes_s))
+    assert len(calls) == len(subjects) + len(whole)
 
 
 def test_extract_memory_does_not_grow_with_windows(rng):
@@ -731,7 +770,7 @@ def test_decoders_csv_counts_match_split(tiny_workspace):
         "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
     )
     rows = [line.split(",") for line in lines[1:]]
-    recs = [load_recording(p) for p in pipeline._preprocessed_paths(out, "preprocessed_baseline")]
+    recs = [load_recording(p) for p in pipeline._input_paths(out / "preprocessed_baseline", "preprocess")]
     assert [r[0] for r in rows] == [rec.subject_id for rec in recs]
     for (subj, ws, lam, val_acc, n_win, distinct, weighted), rec in zip(rows, recs):
         split = pipeline.build_split(cfg, [rec], float(ws))

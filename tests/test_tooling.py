@@ -1,0 +1,43 @@
+"""Names that code outside the package reaches into: the benchmark's tracer
+wraps module and class attributes by name (`owner.__dict__[attr]`), and the
+scripts import from asad at start-up, so a rename breaks them silently."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from asad import baseline, features, interpolate, network, pipeline, preprocess
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_tracer_installs_and_restores_every_attribute(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import tracing
+
+    owners = (baseline, features, network, pipeline, preprocess, interpolate.CloughTocher)
+    before = [dict(vars(owner)) for owner in owners]
+    load = pipeline.load_recording
+    tracer = tracing.Tracer("t")
+    try:
+        tracing.install(tracer)
+        assert pipeline.load_recording is not load and pipeline.load_recording.__wrapped__ is load
+    finally:
+        tracer.restore()
+    for owner, attrs in zip(owners, before):
+        now = vars(owner)
+        assert set(now) == set(attrs), owner
+        assert [k for k, v in attrs.items() if now[k] is not v] == [], owner
+
+
+@pytest.mark.parametrize("script", ["bench_kernels.py", "stage_rss.py"])
+def test_script_starts(script):
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
