@@ -10,11 +10,11 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
 `peak_mib` is the tracemalloc peak of one more call, its output included.
 
 - Ridge kernels, at `linear-sweep` shape (`rows`, `totals`): 32 channels x
-  16,800 samples (240 s at 70 Hz), 19 lags, and training weights from 1,
-  2, 5 and 10 s windows at 50 % overlap inside 8 trials of 30 s, every
-  fifth window of a trial held out. They time `accumulate_covariances`,
-  the seven `_solve` calls of the default lambda grid and one
-  whole-recording `reconstruct`.
+  16,800 float32 samples (240 s at 70 Hz, as the baseline stage loads
+  them), 19 lags, and training weights from 1, 2, 5 and 10 s windows at
+  50 % overlap inside 8 trials of 30 s, every fifth window of a trial held
+  out. They time `accumulate_covariances`, the seven `_solve` calls of the
+  default lambda grid and one whole-recording `reconstruct`.
 - The CNN path (`kernels`): `preprocess_recording` of one 240 s subject
   (64 + 2 reference channels at 128 Hz, float32 as loaded from disk),
   `_zero_phase` and `resample_series` on that subject's 64 float64
@@ -52,9 +52,10 @@ each: `preprocess_recording` of one synthetic subject (66 channels at
 128 Hz, float32), `_synth_subject` of one subject of the pipeline's
 default synth section with envelope mixing on (`envelope_mix_gain` 1), its
 recording and envelopes written to a temporary directory, and
-`select_lambda` of one subject (64 channels at 70 Hz, 19 lags, the default
-lambda grid) with training weights from 1 s windows at 50 % overlap in 8
-trials of 6 min, every fifth window held out for validation.
+`select_lambda` of one subject (64 float32 channels at 70 Hz, as the
+baseline stage loads them, 19 lags, the default lambda grid) with training
+weights from 1 s windows at 50 % overlap in 8 trials of 6 min, every fifth
+window held out for validation.
 
 Prints one JSON object with the machine facts (nproc, numpy, scipy, BLAS
 name and version, OPENBLAS_NUM_THREADS) and the figures. With
@@ -136,9 +137,9 @@ MIB = 2**20
 
 
 def inputs(window_s: int, seed: int = 9):
-    """EEG, weights m, target y and the window count for one window size."""
+    """Float32 EEG, weights m, target y and the window count for one window size."""
     rng = np.random.default_rng(seed)
-    eeg = rng.normal(size=(N_CHANNELS, N_SAMPLES))
+    eeg = rng.normal(size=(N_CHANNELS, N_SAMPLES)).astype(np.float32)
     env_l, env_r = np.abs(rng.normal(size=(2, N_SAMPLES)))
     length = window_s * FS
     starts, labels = [], []
@@ -456,7 +457,7 @@ def paper_synth_subject() -> dict:
 def paper_select_lambda(seed: int = 13) -> dict:
     n_ch, fs, trial = 64, 70, 6 * 60 * 70
     rng = np.random.default_rng(seed)
-    eeg = rng.normal(size=(n_ch, 8 * trial))
+    eeg = rng.normal(size=(n_ch, 8 * trial)).astype(np.float32)
     env_l, env_r = np.abs(rng.normal(size=(2, 8 * trial)))
     starts, labels, held = [], [], []
     for k in range(8):
@@ -471,7 +472,7 @@ def paper_select_lambda(seed: int = 13) -> dict:
     (dec, _), seconds, peak = traced_call(lambda: baseline.select_lambda(
         (eeg, m, y), (env_l, env_r, val), N_LAGS, baseline.LAMBDA_GRID))
     return {
-        "inputs": f"{n_ch} x {eeg.shape[1]:,} float64 at {fs} Hz, {N_LAGS} lags, "
+        "inputs": f"{n_ch} x {eeg.shape[1]:,} float32 at {fs} Hz, {N_LAGS} lags, "
                   f"{len(train):,} train and {len(val):,} validation 1 s windows",
         "eeg_mib": eeg.nbytes / MIB,
         "ridge_lambda": dec.ridge_lambda,

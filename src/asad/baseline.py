@@ -40,6 +40,11 @@ LAMBDA_GRID = tuple(10.0 ** k for k in range(-3, 4))
 # accumulate_covariances: each block stays small (2.4 MiB at 32 channels x
 # 19 lags), so fitting adds little to the peak memory of the baseline stage
 ROW_CHUNK = 512
+# outputs of reconstruct formed at a time (the last block up to twice as
+# many): at 64 channels and 19 lags a block's float64 columns and per-lag
+# product take 2.6 MiB, where the whole product of a 48-min recording took
+# 29 MiB per lambda, and a 48-min recording needs only 49 blocks
+RECONSTRUCT_BLOCK = 4096
 
 
 @dataclass
@@ -119,7 +124,8 @@ def accumulate_covariances(
     Gram matrix of the rows only when windows start fewer than about 3
     samples apart (measured at 32 channels and 19 lags, where a 2-sample
     hop takes 1.4x as long)."""
-    eeg, m, y = (np.asarray(a, dtype=float) for a in (eeg, m, y))
+    eeg = np.asarray(eeg)  # each chunk is cast to float64 as it is formed
+    m, y = (np.asarray(a, dtype=float) for a in (m, y))
     n_ch, t = eeg.shape
     if m.shape != (t,) or y.shape != (t,):
         raise ValueError("weights and target must hold one value per EEG sample")
@@ -136,32 +142,43 @@ def accumulate_covariances(
     for lo_run, hi_run in zip(edges[::2], edges[1::2]):
         for lo in range(lo_run, hi_run, ROW_CHUNK):
             hi = min(lo + ROW_CHUNK, hi_run)
-            x = _lagged_design(eeg[:, lo : hi + n_lags - 1], n_lags)
-            top += (eeg[:, lo:hi] * m[lo:hi]) @ x
+            seg = eeg[:, lo : hi + n_lags - 1].astype(float)
+            x = _lagged_design(seg, n_lags)
+            top += (seg[:, : hi - lo] * m[lo:hi]) @ x
             r_cross += (m[lo:hi] * y[lo:hi]) @ x
+    # R[(c, tau), (c', tau')] as [c, tau, c', tau']; block-row i holds B_i as
+    # the [c, c', d] view r4[:, i, :, i:], d = tau' - i
+    r4 = np.zeros((n_ch, n_lags, n_ch, n_lags))
     # steps of the weight at rows u = -1 .. n_rows - 1 (m is 0 outside)
     step = -np.diff(np.concatenate(([0.0], m[:n_rows], [0.0])))
     u = np.flatnonzero(step) - 1
     d_u = step[u + 1]
-    inc = np.zeros((n_lags, n_ch, n_lags, n_ch))  # B_i - B_{i-1}, as [i, c, d, c']
     for lo in range(0, len(u), ROW_CHUNK):
         uc, dc = u[lo : lo + ROW_CHUNK], d_u[lo : lo + ROW_CHUNK, None]
         # e[u + j] for j = 1 .. n_lags - 1, as (steps, n_lags - 1, C)
-        at_steps = eeg.T[uc[:, None] + np.arange(1, n_lags)]
+        at_steps = eeg.T[uc[:, None] + np.arange(1, n_lags)].astype(float)
         for i in range(1, n_lags):
-            # sum_u D_u e[u + i] e[u + i + d]' for d < n_lags - i; the
-            # right-hand factor is a view of at_steps
+            # B_i - B_{i-1} = sum_u D_u e[u + i] e[u + i + d]' for
+            # d < n_lags - i; the right-hand factor is a view of at_steps
             lagged = at_steps[:, i - 1 :].reshape(len(uc), -1)
             change = (at_steps[:, i - 1] * dc).T @ lagged
-            inc[i, :, : n_lags - i] += change.reshape(n_ch, n_lags - i, n_ch)
-    block = top.reshape(n_ch, n_ch, n_lags).transpose(0, 2, 1).copy()  # B_0 as [c, d, c']
-    r4 = np.empty((n_ch, n_lags, n_ch, n_lags))  # R[(c, tau), (c', tau')]
-    for i in range(n_lags):
-        block += inc[i]
-        b_i = block[:, : n_lags - i].transpose(0, 2, 1)  # B_i as [c, c', d]
-        r4[:, i, :, i:] = b_i
-        r4[:, i + 1 :, :, i] = b_i[:, :, 1:].transpose(1, 2, 0)
-    return r4.reshape(n_ch * n_lags, n_ch * n_lags), r_cross
+            r4[:, i, :, i:] += change.reshape(n_ch, n_lags - i, n_ch).transpose(0, 2, 1)
+    r4[:, 0] = top.reshape(n_ch, n_ch, n_lags)
+    return _fill_lag_blocks(r4).reshape(n_ch * n_lags, n_ch * n_lags), r_cross
+
+
+def _fill_lag_blocks(r4: np.ndarray) -> np.ndarray:
+    """R as [c, tau, c', tau'], completed in place from B_0 in r4[:, 0] and
+    the increments B_i - B_{i-1} in r4[:, i, :, i:], each as [c, c', d]:
+    every block-row adds the one above it, then the lower blocks mirror the
+    upper ones."""
+    n_lags = r4.shape[1]
+    r4[:, 0] += 0.0  # a -0.0 of B_0 becomes +0.0, as when B_0 took an increment of zeros
+    for i in range(1, n_lags):
+        r4[:, i, :, i:] += r4[:, i - 1, :, i - 1 : n_lags - 1]
+    for i in range(n_lags - 1):
+        r4[:, i + 1 :, :, i] = r4[:, i, :, i + 1 :].transpose(1, 2, 0)
+    return r4
 
 
 def _solve(r_auto: np.ndarray, r_cross: np.ndarray, lam: float) -> np.ndarray:
@@ -228,10 +245,12 @@ def fit_decoder_segments(
 
 def reconstruct(decoder: LinearDecoder, eeg: np.ndarray) -> np.ndarray:
     """s_hat(t) = sum_{c,tau} w(c,tau) eeg(c, t+tau); last L samples truncated.
-    One (n_lags, C) x (C, T) product, then a sum of its rows shifted by
-    their lag, so no lagged design is formed."""
+    For each block of RECONSTRUCT_BLOCK outputs, one (n_lags, C) x (C, block
+    + n_lags - 1) product of the float64 cast of its columns, then a sum of
+    the product's rows shifted by their lag, so no lagged design is formed.
+    The blocks give the bits of the whole product."""
     decoder.validate()
-    eeg = np.asarray(eeg, dtype=float)
+    eeg = np.asarray(eeg)  # each column block is cast to float64 as it is formed
     if eeg.shape[0] != decoder.weights.shape[0]:
         raise ValueError(
             f"decoder expects {decoder.weights.shape[0]} channels, got {eeg.shape[0]}"
@@ -240,10 +259,16 @@ def reconstruct(decoder: LinearDecoder, eeg: np.ndarray) -> np.ndarray:
     n = eeg.shape[1] - n_lags + 1
     if n < 1:
         raise ValueError(f"series of {eeg.shape[1]} samples is shorter than max lag {n_lags - 1}")
-    per_lag = decoder.weights.T @ eeg
-    s_hat = per_lag[0, :n].copy()
-    for tau in range(1, n_lags):
-        s_hat += per_lag[tau, tau : tau + n]
+    s_hat = np.empty(n)
+    # the last block takes the remainder: a narrow product can take another
+    # BLAS path than the same columns of the whole product (at n_lags = 1 a
+    # lone column is a dot product, not a gemv) and round differently
+    starts = range(0, max(n - RECONSTRUCT_BLOCK, 0) + 1, RECONSTRUCT_BLOCK)
+    for lo, hi in zip(starts, [*starts[1:], n]):
+        per_lag = decoder.weights.T @ eeg[:, lo : hi + n_lags - 1].astype(float)
+        s_hat[lo:hi] = per_lag[0, : hi - lo]
+        for tau in range(1, n_lags):
+            s_hat[lo:hi] += per_lag[tau, tau : tau + hi - lo]
     return s_hat
 
 

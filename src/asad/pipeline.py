@@ -611,15 +611,14 @@ def _baseline_subject(cfg: PipelineConfig, out_dir: Path, path: Path, dec_dir: P
                       rows: list[tuple], choices: list[tuple]) -> None:
     """Fit, save and score one subject's decoders, appending its metric rows and
     choices; a call of its own, so its arrays go before the next subject's come."""
-    eeg = load_recording(path).data.astype(float)  # the float32 samples go once cast
-    rec = load_recording(path, [])  # the split reads no samples
-    sid = rec.subject_id
+    rec = load_recording(path)  # float32; the fits cast one chunk of it at a time
+    eeg, sid = rec.data, rec.subject_id
     env_l, env_r = (
         load_envelope(out_dir / "envelopes_rs" / f"{sid}.{side}").samples
         for side in ("left", "right")
     )
-    n_lags = _n_lags(cfg)
-    for ws in [w for w in cfg.window_sizes_s if w not in short_linear_windows(cfg)]:
+    n_lags, short = _n_lags(cfg), short_linear_windows(cfg)
+    for ws in [w for w in cfg.window_sizes_s if w not in short]:
         split = build_split(cfg, [rec], ws)
         train, test = split.train, split.test
         m, y = train_weights(train, env_l, env_r, n_lags)

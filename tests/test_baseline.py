@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -420,3 +426,202 @@ def test_solve_factor_matches_c_order_cholesky_bits(n, seed, exact_symmetry):
         ref = cho_solve(cho_factor(a, overwrite_a=True, check_finite=False), r_cross,
                         check_finite=False)
         assert baseline._solve(r_auto, r_cross, lam).tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Float32 recordings: the fits cast one chunk at a time and keep the bits
+# ---------------------------------------------------------------------------
+
+def _covariances_whole_cast(eeg, m, y, n_lags):
+    """accumulate_covariances with the whole recording cast to float64 first
+    and R assembled from B_0 and a separate array of block-row increments."""
+    eeg, m, y = (np.asarray(a, dtype=float) for a in (eeg, m, y))
+    n_ch, t = eeg.shape
+    n_rows = t - n_lags + 1
+    active = np.concatenate(([False], m[:n_rows] > 0, [False]))
+    edges = np.flatnonzero(active[1:] != active[:-1])
+    top, r_cross = np.zeros((n_ch, n_ch * n_lags)), np.zeros(n_ch * n_lags)
+    for lo_run, hi_run in zip(edges[::2], edges[1::2]):
+        for lo in range(lo_run, hi_run, ROW_CHUNK):
+            hi = min(lo + ROW_CHUNK, hi_run)
+            x = _lagged_design(eeg[:, lo : hi + n_lags - 1], n_lags)
+            top += (eeg[:, lo:hi] * m[lo:hi]) @ x
+            r_cross += (m[lo:hi] * y[lo:hi]) @ x
+    step = -np.diff(np.concatenate(([0.0], m[:n_rows], [0.0])))
+    u = np.flatnonzero(step) - 1
+    d_u = step[u + 1]
+    inc = np.zeros((n_lags, n_ch, n_lags, n_ch))  # B_i - B_{i-1}, as [i, c, d, c']
+    for lo in range(0, len(u), ROW_CHUNK):
+        uc, dc = u[lo : lo + ROW_CHUNK], d_u[lo : lo + ROW_CHUNK, None]
+        at_steps = eeg.T[uc[:, None] + np.arange(1, n_lags)]
+        for i in range(1, n_lags):
+            lagged = at_steps[:, i - 1 :].reshape(len(uc), -1)
+            change = (at_steps[:, i - 1] * dc).T @ lagged
+            inc[i, :, : n_lags - i] += change.reshape(n_ch, n_lags - i, n_ch)
+    r4 = _blocks_from_increments(top, inc)
+    return r4.reshape(n_ch * n_lags, n_ch * n_lags), r_cross
+
+
+def _blocks_from_increments(top, inc):
+    """R as [c, tau, c', tau'] from B_0 (top, as [c, (c', d)]) and the
+    increments inc[i] = B_i - B_{i-1} as [c, d, c'], one block-row at a time."""
+    n_lags, n_ch = inc.shape[:2]
+    block = top.reshape(n_ch, n_ch, n_lags).transpose(0, 2, 1).copy()  # B_0 as [c, d, c']
+    r4 = np.empty((n_ch, n_lags, n_ch, n_lags))
+    for i in range(n_lags):
+        block += inc[i]
+        b_i = block[:, : n_lags - i].transpose(0, 2, 1)  # B_i as [c, c', d]
+        r4[:, i, :, i:] = b_i
+        r4[:, i + 1 :, :, i] = b_i[:, :, 1:].transpose(1, 2, 0)
+    return r4
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_ch=st.integers(1, 4),
+    n_lags=st.integers(1, 8),
+    chunks=st.integers(0, 3),
+    rest=st.integers(1, ROW_CHUNK - 1),
+    runs=st.lists(st.tuples(st.integers(1, 900), st.integers(0, 40)), min_size=1, max_size=4),
+    first_row=st.booleans(),
+    last_row=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_covariances_of_float32_eeg_keep_the_float64_bits(
+    n_ch, n_lags, chunks, rest, runs, first_row, last_row, seed
+):
+    """A float32 recording, cast one chunk at a time, gives the bits of its
+    float64 copy, and those of the whole-cast path, for real-valued row
+    weights in runs that may hold the first and the last row."""
+    rng = np.random.default_rng(seed)
+    t = max(chunks * ROW_CHUNK + rest, n_lags + 1)
+    n_rows = t - n_lags + 1
+    eeg = rng.normal(size=(n_ch, t)).astype(np.float32)
+    y = rng.normal(size=t)
+    m, pos = np.zeros(t), 0
+    for length, gap in runs:  # weights step inside each run, not only at its ends
+        pos += gap
+        seg = slice(pos, min(pos + length, n_rows))
+        m[seg] = rng.choice(rng.uniform(0.1, 4.0, size=3), size=len(m[seg]))
+        pos += length
+    if first_row:
+        m[0] = rng.uniform(0.1, 4.0)
+    if last_row:
+        m[n_rows - 1] = rng.uniform(0.1, 4.0)
+    if not np.any(m):
+        m[0] = 1.5
+    got = accumulate_covariances(eeg, m, y, n_lags)
+    for ref in (accumulate_covariances(eeg.astype(float), m, y, n_lags),
+                _covariances_whole_cast(eeg, m, y, n_lags)):
+        assert got[0].tobytes() == ref[0].tobytes()
+        assert got[1].tobytes() == ref[1].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_ch=st.integers(1, 4), n_lags=st.integers(1, 7), seed=st.integers(0, 2**32 - 1))
+def test_lag_blocks_filled_in_place_equal_the_increment_assembly(n_ch, n_lags, seed):
+    """R completed in place from B_0 and the block-row increments has the
+    bits of the assembly through a separate increment array, -0.0 and +0.0
+    entries of B_0 included."""
+    rng = np.random.default_rng(seed)
+    top = rng.normal(size=(n_ch, n_ch * n_lags))
+    top[rng.random(top.shape) < 0.3] = -0.0
+    top[rng.random(top.shape) < 0.1] = 0.0
+    top.flat[0] = -0.0
+    inc = np.zeros((n_lags, n_ch, n_lags, n_ch))
+    for i in range(1, n_lags):
+        inc[i, :, : n_lags - i] = rng.normal(size=(n_ch, n_lags - i, n_ch))
+    r4 = np.zeros((n_ch, n_lags, n_ch, n_lags))
+    r4[:, 0] = top.reshape(n_ch, n_ch, n_lags)
+    for i in range(1, n_lags):
+        r4[:, i, :, i:] = inc[i, :, : n_lags - i].transpose(0, 2, 1)
+    got = baseline._fill_lag_blocks(r4)
+    assert got is r4
+    assert got.tobytes() == _blocks_from_increments(top, inc).tobytes()
+    assert got[0, 0, 0, 0] == 0.0 and not np.signbit(got[0, 0, 0, 0])  # top.flat[0]
+
+
+def _reconstruct_whole(weights, eeg):
+    """s_hat from one (n_lags, C) x (C, T) product of the float64 recording."""
+    n_lags = weights.shape[1]
+    n = eeg.shape[1] - n_lags + 1
+    per_lag = weights.T @ np.asarray(eeg, dtype=float)
+    s_hat = per_lag[0, :n].copy()
+    for tau in range(1, n_lags):
+        s_hat += per_lag[tau, tau : tau + n]
+    return s_hat
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n_ch=st.integers(1, 6),
+    n_lags=st.integers(2, 20),
+    blocks=st.integers(0, 3),
+    rest=st.integers(-3, 40),
+    float32=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_column_blocked_reconstruct_keeps_the_whole_product_bits(
+    n_ch, n_lags, blocks, rest, float32, seed
+):
+    """Column blocks give the bits of the whole per-lag product and its
+    shifted sum: for outputs that are not a multiple of the block, a few
+    more or fewer than a block, and series shorter than one block."""
+    rng = np.random.default_rng(seed)
+    t = max(blocks * baseline.RECONSTRUCT_BLOCK + rest + n_lags - 1, n_lags)
+    eeg = rng.normal(size=(n_ch, t))
+    if float32:
+        eeg = eeg.astype(np.float32)
+    dec = LinearDecoder(rng.normal(size=(n_ch, n_lags)), np.arange(n_lags), 1.0)
+    assert reconstruct(dec, eeg).tobytes() == _reconstruct_whole(dec.weights, eeg).tobytes()
+
+
+_SINGLE_LAG_BITS = """
+import numpy as np
+from asad.baseline import RECONSTRUCT_BLOCK as B, LinearDecoder, reconstruct
+rng = np.random.default_rng(5)
+for n_ch in (1, 3, 64):
+    for t in (1, 7, B - 1, B, B + 1, B + 3, 2 * B - 1, 2 * B, 2 * B + 1, 3 * B + 17):
+        eeg = rng.normal(size=(n_ch, t)).astype(np.float32)
+        w = rng.normal(size=(n_ch, 1))
+        whole = (w.T @ eeg.astype(float))[0]
+        got = reconstruct(LinearDecoder(w, np.arange(1), 1.0), eeg)
+        assert got.tobytes() == whole.tobytes(), (n_ch, t)
+print("ok")
+"""
+
+
+def test_single_lag_reconstruct_keeps_the_whole_product_bits_on_one_blas_thread():
+    """At n_lags = 1 the per-lag product is a matrix-vector product, whose
+    whole-series bits depend on how many BLAS threads split it; on one
+    thread the column blocks give the bits of the whole product, lone
+    trailing columns included."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", _SINGLE_LAG_BITS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
+
+
+def test_fits_on_float32_eeg_allocate_less_than_its_float64_copy(rng):
+    """Neither the covariances nor the reconstruction of a float32 recording
+    holds a float64 copy of it: each casts one chunk at a time."""
+    n_ch, t, n_lags = 32, 60_000, 19
+    eeg = rng.normal(size=(n_ch, t)).astype(np.float32)
+    y = rng.normal(size=t)
+    m = np.zeros(t)
+    for s0 in range(0, t - 400, 2_000):  # 70-sample windows at 50 % overlap
+        m[s0 : s0 + 300] = rng.uniform(0.5, 2.0)
+    dec = LinearDecoder(rng.normal(size=(n_ch, n_lags)), np.arange(n_lags), 1.0)
+    float64_copy = eeg.size * 8
+    for call in (lambda: accumulate_covariances(eeg, m, y, n_lags),
+                 lambda: reconstruct(dec, eeg)):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < float64_copy, (peak, float64_copy)
