@@ -36,15 +36,19 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   70 Hz (8 trials each, one channel: windows hold no samples), 0.1 s
   windows at 50 % overlap, the ROADMAP's paper scale.
 - The trainer (`kernels`), for the default CNN in float32 at batch 64
-  with 1 and 5 input channels (`_1ch`, `_5ch`): `_im2col` with the conv
-  product, the conv `dW` einsum, the batch-norm forward (with the ReLU)
-  and backward, `_pool` and `_pool_adjoint`, the three fc1 products
-  (forward, weight gradient, input gradient), `rmsprop_step` on every
-  trained tensor, the whole `loss_and_grad`, and one `train_arrays` epoch
-  on 1,400 windows (140 validation windows). The batch-norm rows repeat
-  the statements of `network.forward` and `network.loss_and_grad`, which
-  have no function of their own; the backward row includes a copy of its
-  input, since it works in place.
+  with 1 and 5 input channels (`_1ch`, `_5ch`): the conv (`_im2col`, the
+  product and the in-place bias add), its gradients (the `dW` einsum and
+  the bias sum), the batch-norm forward (with the ReLU) and backward,
+  `_pool` and `_pool_adjoint`, the fc1 products (forward, then the
+  weight, bias and input gradients), `rmsprop_step` on every trained
+  tensor, the whole `loss_and_grad`, and one `train_arrays` epoch on
+  1,400 windows (140 validation windows). The conv, batch-norm and fc1
+  rows call the layer functions that `forward` and `loss_and_grad` are
+  built from (`_conv`, `_conv_grads`, `_bn_relu`, `_bn_backward`,
+  `_dense`, `_dense_grads`), so this script cannot time a checkout from
+  before those functions. The batch-norm forward row works in place on
+  its conv buffer, as `forward` does; the backward row includes a copy
+  of its input, since it works in place.
 
 `--paper-scale` instead runs three calls once each at the paper's
 recording length, 48 min, and reports the time and tracemalloc peak of
@@ -101,7 +105,12 @@ from asad.network import (  # noqa: E402
     TRAINED,
     CnnConfig,
     TrainConfig,
-    _im2col,
+    _bn_backward,
+    _bn_relu,
+    _conv,
+    _conv_grads,
+    _dense,
+    _dense_grads,
     _pool,
     _pool_adjoint,
     forward,
@@ -318,40 +327,6 @@ def cache_kernels(root: Path) -> dict[str, tuple[str, object]]:
     }
 
 
-def _bn_relu(conv: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float) -> np.ndarray:
-    """The train-mode batch norm and ReLU of `network.forward`, in place on
-    the (B, F, H, W) conv buffer, which becomes xhat."""
-    xhat = conv
-    relu1 = np.empty_like(xhat)
-    mu = xhat.mean(axis=(0, 2, 3))
-    xhat -= mu[None, :, None, None]
-    var = np.square(xhat, out=relu1).mean(axis=(0, 2, 3))
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat *= inv_std[None, :, None, None]
-    np.multiply(gamma[None, :, None, None], xhat, out=relu1)
-    relu1 += beta[None, :, None, None]
-    np.maximum(relu1, 0.0, out=relu1)
-    return relu1
-
-
-def _bn_backward(dbn: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: np.ndarray):
-    """The batch-norm backward of `network.loss_and_grad`, in place on dbn."""
-    b, _, h, w = dbn.shape
-    tmp = np.multiply(dbn, xhat)
-    g_gamma, g_beta = tmp.sum(axis=(0, 2, 3)), dbn.sum(axis=(0, 2, 3))
-    dxhat = dbn
-    dxhat *= gamma[None, :, None, None]
-    n = b * h * w
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
-    dconv = dxhat
-    dconv *= n
-    dconv -= sum_dxhat
-    dconv -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
-    dconv *= inv_std[None, :, None, None] / n
-    return dconv, g_gamma, g_beta
-
-
 def trainer_kernels() -> dict[str, tuple[str, object]]:
     """The training step's layers at batch 64, float32, 1 and 5 input channels."""
     kernels = {}
@@ -367,8 +342,8 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
         trained = {k: grads[k] for k in TRAINED}
         _, state = rmsprop_step(params, trained, None, 0, tc)
         cols, relu1, xhat = cache["cols"], cache["relu1"], cache["xhat"]
-        conv_w, f = params["conv_w"].reshape(cfg.conv_filters, -1), cfg.conv_filters
-        conv = np.matmul(conv_w, cols).reshape(64, f, 32, 32)
+        f, conv_w, conv_b = cfg.conv_filters, params["conv_w"], params["conv_b"]
+        conv = _conv(x, conv_w, conv_b)[1].reshape(64, f, 32, 32)
         dpooled = rng.normal(size=(64, f, 16, 16)).astype(np.float32)
         dbn = _pool_adjoint(dpooled, relu1)
         dconv = rng.normal(size=(64, f, 32 * 32)).astype(np.float32)
@@ -376,9 +351,9 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
         y_epoch = rng.integers(0, 2, size=1540)
         what = f"batch 64 x {ch} x 32 x 32, default CNN, float32"
         kernels.update({
-            f"im2col_conv_{ch}ch": (what, lambda x=x, w=conv_w, b=params["conv_b"]:
-                                    np.matmul(w, _im2col(x)) + b[None, :, None]),
-            f"conv_dw_{ch}ch": (what, lambda d=dconv, c=cols: np.einsum("bfn,bcn->fc", d, c)),
+            f"im2col_conv_{ch}ch": (what, lambda x=x, w=conv_w, b=conv_b: _conv(x, w, b)),
+            f"conv_dw_{ch}ch": (what, lambda d=dconv, c=cols, s=conv_w.shape:
+                                _conv_grads(d, c, s)),
             f"bn_relu_forward_{ch}ch": (what, lambda c=conv, p=params, e=cfg.bn_epsilon:
                                         _bn_relu(c, p["bn_gamma"], p["bn_beta"], e)),
             f"bn_backward_{ch}ch": (what, lambda d=dbn, xh=xhat, p=params, s=cache["inv_std"]:
@@ -397,8 +372,8 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
     flat, fc1_w, fc1_b = cache["flat"], params["fc1_w"], params["fc1_b"]
     dfc1 = np.random.default_rng(3).normal(size=(64, fc1_w.shape[0])).astype(np.float32)
     kernels["fc1_products"] = (
-        f"batch 64, {fc1_w.shape[1]:,} -> {fc1_w.shape[0]} float32: forward, dW and dflat",
-        lambda: (flat @ fc1_w.T + fc1_b, dfc1.T @ flat, dfc1 @ fc1_w),
+        f"batch 64, {fc1_w.shape[1]:,} -> {fc1_w.shape[0]} float32: forward, dW, db and dflat",
+        lambda: (_dense(flat, fc1_w, fc1_b), _dense_grads(dfc1, flat, fc1_w)),
     )
     return kernels
 

@@ -73,7 +73,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"wrote {paths[0]} and {paths[1]}")
         else:
             out.mkdir(parents=True, exist_ok=True)
-            getattr(pipeline, f"stage_{args.command}")(cfg, out)
+            pipeline.run_stage(args.command, cfg, out)
             print(f"stage {args.command} done")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -77,6 +77,14 @@ def atomic_write_text(path: str | Path, text: str) -> None:
     atomic_write_chunks(path, (text.encode("utf-8"),))
 
 
+def write_table(path: str | Path, header: str, rows: Iterable[Iterable]) -> None:
+    """Write a CSV file atomically: the header line, then one line per row,
+    each str field as it is and any other field as its repr (so a float
+    reads back bit-equal)."""
+    lines = [header] + [",".join(v if isinstance(v, str) else repr(v) for v in row) for row in rows]
+    atomic_write_text(path, "\n".join(lines) + "\n")
+
+
 HEADER_JSON = json.JSONEncoder(indent=2, sort_keys=True)
 
 

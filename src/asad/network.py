@@ -20,7 +20,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from scipy.special import stdtr
 
-from .data import atomic_write_text, read_header, read_payload, write_container
+from .data import read_header, read_payload, write_container
 
 TENSOR_ORDER = (
     "conv_w", "conv_b", "bn_gamma", "bn_beta", "bn_running_mean", "bn_running_var",
@@ -188,6 +188,74 @@ def _pool_adjoint(dpooled: np.ndarray, relu: np.ndarray) -> np.ndarray:
     return out
 
 
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Same-padded 3x3 conv of (B, C, H, W) by (F, C, 3, 3) weights: the
+    (B, C*9, H*W) patches and the (B, F, H*W) output."""
+    cols = _im2col(x)
+    conv = np.matmul(w.reshape(len(w), -1), cols)
+    conv += b[None, :, None]
+    return cols, conv
+
+
+def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
+             stats: tuple[np.ndarray, np.ndarray] | None = None):
+    """Batch norm and ReLU of the (B, F, H, W) conv buffer `xhat`, which
+    becomes xhat in place: (relu, mean, var, inv_std). Normalizes with the
+    batch statistics, or with `stats` = (mean, var) in eval mode. The
+    output buffer holds the squared deviations and then gamma * xhat + beta."""
+    relu = np.empty_like(xhat)
+    if stats is None:
+        mu = xhat.mean(axis=(0, 2, 3))
+        xhat -= mu[None, :, None, None]
+        var = np.square(xhat, out=relu).mean(axis=(0, 2, 3))
+    else:
+        mu, var = stats
+        xhat -= mu[None, :, None, None]
+    inv_std = 1.0 / np.sqrt(var + eps)
+    xhat *= inv_std[None, :, None, None]
+    np.multiply(gamma[None, :, None, None], xhat, out=relu)
+    relu += beta[None, :, None, None]
+    np.maximum(relu, 0.0, out=relu)
+    return relu, mu, var, inv_std
+
+
+def _bn_backward(dbn: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: np.ndarray):
+    """Train-mode batch-norm backward: (dconv, dgamma, dbeta). dbn becomes
+    dxhat and then dconv in place, with `tmp` holding the elementwise products."""
+    b, _, h, w = dbn.shape
+    tmp = np.multiply(dbn, xhat)
+    dgamma = tmp.sum(axis=(0, 2, 3))
+    dbeta = dbn.sum(axis=(0, 2, 3))
+    dxhat = dbn
+    dxhat *= gamma[None, :, None, None]
+    n = b * h * w
+    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
+    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
+    dconv = dxhat
+    dconv *= n
+    dconv -= sum_dxhat
+    dconv -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
+    dconv *= inv_std[None, :, None, None] / n
+    return dconv, dgamma, dbeta
+
+
+def _conv_grads(dconv: np.ndarray, cols: np.ndarray, shape: tuple[int, ...]):
+    """The conv's weight gradient, of the weights' `shape`, and bias gradient
+    from the (B, F, H, W) or (B, F, H*W) output gradient and `_conv`'s patches."""
+    b, f = dconv.shape[:2]
+    dconv_mat = dconv.reshape(b, f, -1)
+    return np.einsum("bfn,bcn->fc", dconv_mat, cols).reshape(shape), dconv_mat.sum(axis=(0, 2))
+
+
+def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return x @ w.T + b
+
+
+def _dense_grads(d: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """A dense layer's weight, bias and input gradients from its output gradient."""
+    return d.T @ x, d.sum(axis=0), d @ w
+
+
 def forward(
     cfg: CnnConfig,
     params: dict,
@@ -223,26 +291,10 @@ def forward(
     h = w = cfg.in_size
     train = mode == "train"
 
-    cols = _im2col(x)
-    conv = np.matmul(p["conv_w"].reshape(f, -1), cols)
-    conv += p["conv_b"][None, :, None]
-    # batch norm in place: the conv buffer becomes xhat, `relu1` holds the
-    # squared deviations and then gamma * xhat + beta
+    cols, conv = _conv(x, p["conv_w"], p["conv_b"])
     xhat = conv.reshape(b, f, h, w)
-    relu1 = np.empty_like(xhat)
-    if train:
-        mu = xhat.mean(axis=(0, 2, 3))
-        xhat -= mu[None, :, None, None]
-        var = np.square(xhat, out=relu1).mean(axis=(0, 2, 3))
-    else:
-        mu = p["bn_running_mean"]
-        var = p["bn_running_var"]
-        xhat -= mu[None, :, None, None]
-    inv_std = 1.0 / np.sqrt(var + cfg.bn_epsilon)
-    xhat *= inv_std[None, :, None, None]
-    np.multiply(p["bn_gamma"][None, :, None, None], xhat, out=relu1)
-    relu1 += p["bn_beta"][None, :, None, None]
-    np.maximum(relu1, 0.0, out=relu1)
+    stats = None if train else (p["bn_running_mean"], p["bn_running_var"])
+    relu1, mu, var, inv_std = _bn_relu(xhat, p["bn_gamma"], p["bn_beta"], cfg.bn_epsilon, stats)
     pooled = _pool(relu1)
 
     if train:
@@ -257,12 +309,12 @@ def forward(
         drop1 = pooled
 
     flat = drop1.reshape(b, -1)
-    fc1 = flat @ p["fc1_w"].T + p["fc1_b"]
+    fc1 = _dense(flat, p["fc1_w"], p["fc1_b"])
     relu2 = np.maximum(fc1, 0.0)
     drop2 = relu2 * masks["drop_fc1"] if train else relu2
-    fc2 = drop2 @ p["fc2_w"].T + p["fc2_b"]
+    fc2 = _dense(drop2, p["fc2_w"], p["fc2_b"])
     relu3 = np.maximum(fc2, 0.0)
-    logits = np.asarray(relu3 @ p["out_w"].T + p["out_b"], dtype=np.float64)
+    logits = np.asarray(_dense(relu3, p["out_w"], p["out_b"]), dtype=np.float64)
     if not np.all(np.isfinite(logits)):  # finite logits give finite probabilities
         raise FloatingPointError("non-finite activation at softmax")
 
@@ -300,8 +352,6 @@ def loss_and_grad(
         raise ValueError("labels must be a vector over {0, 1}")
     probs, cache = forward(cfg, params, batch, mode="train", rng=rng, masks=masks)
     b = len(y)
-    f = cfg.conv_filters
-    h = w = cfg.in_size
     p = cache["params"]
     xhat = cache["xhat"]
 
@@ -315,45 +365,19 @@ def loss_and_grad(
     dlogits = dlogits.astype(xhat.dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
-    grads["out_w"] = dlogits.T @ cache["relu3"]
-    grads["out_b"] = dlogits.sum(axis=0)
-    drelu3 = dlogits @ p["out_w"]
+    grads["out_w"], grads["out_b"], drelu3 = _dense_grads(dlogits, cache["relu3"], p["out_w"])
     dfc2 = drelu3 * (cache["fc2"] > 0)
-    grads["fc2_w"] = dfc2.T @ cache["drop2"]
-    grads["fc2_b"] = dfc2.sum(axis=0)
-    ddrop2 = dfc2 @ p["fc2_w"]
+    grads["fc2_w"], grads["fc2_b"], ddrop2 = _dense_grads(dfc2, cache["drop2"], p["fc2_w"])
     drelu2 = ddrop2 * cache["masks"]["drop_fc1"]
     dfc1 = drelu2 * (cache["fc1"] > 0)
-    grads["fc1_w"] = dfc1.T @ cache["flat"]
-    grads["fc1_b"] = dfc1.sum(axis=0)
-    dflat = dfc1 @ p["fc1_w"]
+    grads["fc1_w"], grads["fc1_b"], dflat = _dense_grads(dfc1, cache["flat"], p["fc1_w"])
 
     hp = cfg.pooled_size
-    dpooled = dflat.reshape(b, f, hp, hp) * cache["masks"]["drop_pool"]
+    dpooled = dflat.reshape(b, cfg.conv_filters, hp, hp) * cache["masks"]["drop_pool"]
     dbn = _pool_adjoint(dpooled, cache["relu1"])
-
-    # batch-norm backward in place: dbn becomes dxhat and then dconv, with
-    # `tmp` holding the elementwise products
-    tmp = np.multiply(dbn, xhat)
-    grads["bn_gamma"] = tmp.sum(axis=(0, 2, 3))
-    grads["bn_beta"] = dbn.sum(axis=(0, 2, 3))
-    dxhat = dbn
-    dxhat *= p["bn_gamma"][None, :, None, None]
-    n = b * h * w
-    inv_std = cache["inv_std"][None, :, None, None]
-    sum_dxhat = dxhat.sum(axis=(0, 2, 3), keepdims=True)
-    sum_dxhat_xhat = np.multiply(dxhat, xhat, out=tmp).sum(axis=(0, 2, 3), keepdims=True)
-    dconv = dxhat
-    dconv *= n
-    dconv -= sum_dxhat
-    dconv -= np.multiply(xhat, sum_dxhat_xhat, out=tmp)
-    dconv *= inv_std / n
-
-    dconv_mat = dconv.reshape(b, f, h * w)
-    grads["conv_w"] = np.einsum("bfn,bcn->fc", dconv_mat, cache["cols"]).reshape(
-        f, cfg.in_channels, 3, 3
-    )
-    grads["conv_b"] = dconv_mat.sum(axis=(0, 2))
+    dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, xhat, p["bn_gamma"],
+                                                              cache["inv_std"])
+    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache["cols"], p["conv_w"].shape)
 
     # one pass per tensor: a non-finite element (or a norm past the dtype's
     # range) gives a non-finite norm
@@ -582,15 +606,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         epoch=int(header["epoch"]),
         validation_accuracy=float(header["validation_accuracy"]),
     )
-
-
-def save_history_csv(history: list[dict], path: str | Path) -> None:
-    lines = ["epoch,train_loss,train_acc,val_acc"]
-    for row in history:
-        lines.append(
-            f"{row['epoch']},{row['train_loss']!r},{row['train_acc']!r},{row['val_acc']!r}"
-        )
-    atomic_write_text(Path(path), "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,7 @@ from .data import (
     segment_windows,
     stratified_split,
     synth_recording,
+    write_table,
 )
 from .features import (
     SsfMap,
@@ -78,7 +79,6 @@ from .network import (
     load_checkpoint,
     paired_t_test,
     save_checkpoint,
-    save_history_csv,
     train_arrays,
 )
 from .preprocess import PreprocConfig, preprocess_blocks, resample_series
@@ -86,6 +86,7 @@ from .preprocess import PreprocConfig, preprocess_blocks, resample_series
 METRICS_HEADER = "model,window_s,subject,accuracy"
 METRICS_SEED_HEADER = "model,window_s,seed,subject,accuracy"
 PAIRED_HEADER = "model_a,model_b,window_s,t,p,df,degenerate"
+HISTORY_FIELDS = ("epoch", "train_loss", "train_acc", "val_acc")
 DECODERS_HEADER = (
     "subject,window_s,ridge_lambda,validation_accuracy,train_windows,distinct_rows,weighted_rows"
 )
@@ -546,7 +547,8 @@ def stage_train(cfg: PipelineConfig, out_dir: Path) -> None:
                     run_dir = tmp / _ws_tag(ws) / f"seed{seed}"
                     run_dir.mkdir(parents=True)
                     save_checkpoint(ckpt, run_dir / "checkpoint")
-                    save_history_csv(history, run_dir / "history.csv")
+                    write_table(run_dir / "history.csv", ",".join(HISTORY_FIELDS),
+                                ([row[k] for k in HISTORY_FIELDS] for row in history))
 
 
 def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
@@ -565,7 +567,7 @@ def stage_eval(cfg: PipelineConfig, out_dir: Path) -> None:
                 for subj, acc in metrics.per_subject.items():
                     rows.append(("cnn", ws, seed, subj, acc))
     with stage_output(out_dir, "eval") as (tmp,):
-        _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
+        write_table(tmp / "metrics_by_seed.csv", METRICS_SEED_HEADER, sorted(rows))
 
 
 def _n_lags(cfg: PipelineConfig) -> int:
@@ -600,11 +602,8 @@ def stage_baseline(cfg: PipelineConfig, out_dir: Path) -> None:
         dec_dir.mkdir()
         for path in paths:
             _baseline_subject(cfg, out_dir, path, dec_dir, rows, choices)
-        _write_seed_metrics(tmp / "metrics_by_seed.csv", rows)
-        lines = [DECODERS_HEADER]
-        for subj, ws, lam, val_acc, n_win, distinct, weighted in sorted(choices):
-            lines.append(f"{subj},{ws!r},{lam!r},{val_acc!r},{n_win},{distinct},{weighted}")
-        atomic_write_text(tmp / "decoders.csv", "\n".join(lines) + "\n")
+        write_table(tmp / "metrics_by_seed.csv", METRICS_SEED_HEADER, sorted(rows))
+        write_table(tmp / "decoders.csv", DECODERS_HEADER, sorted(choices))
 
 
 def _baseline_subject(cfg: PipelineConfig, out_dir: Path, path: Path, dec_dir: Path,
@@ -638,13 +637,6 @@ def _baseline_subject(cfg: PipelineConfig, out_dir: Path, path: Path, dec_dir: P
         save_decoder(decoder, dec_dir / f"{sid}.{_ws_tag(ws)}")
 
 
-def _write_seed_metrics(path: Path, rows: list[tuple]) -> None:
-    lines = [METRICS_SEED_HEADER]
-    for model, ws, seed, subj, acc in sorted(rows, key=lambda r: (r[0], r[1], r[2], r[3])):
-        lines.append(f"{model},{ws!r},{seed},{subj},{acc!r}")
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
-
 def _read_seed_metrics(path: Path) -> list[tuple[str, float, int, str, float]]:
     rows = []
     with open(path, newline="") as fh:
@@ -673,73 +665,71 @@ def stage_report(cfg: PipelineConfig, out_dir: Path) -> None:
     if not rows:
         raise FileNotFoundError("no metrics fragments found (run eval/baseline first?)")
 
-    # seed-mean accuracy per (model, window, subject)
-    acc: dict[tuple[str, float, str], list[float]] = {}
+    # (model, window) -> {subject: seed-mean accuracy}, keys and subjects in order
+    acc: dict[tuple[str, float], dict[str, list[float]]] = {}
     for model, ws, _seed, subj, a in rows:
-        acc.setdefault((model, ws, subj), []).append(a)
-    merged = {k: float(np.mean(v)) for k, v in acc.items()}
+        acc.setdefault((model, ws), {}).setdefault(subj, []).append(a)
+    table = {key: {s: float(np.mean(v)) for s, v in sorted(by_subj.items())}
+             for key, by_subj in sorted(acc.items())}
+    models = sorted({m for m, _ in table})
+    sizes = sorted({w for _, w in table})
+
+    tests = []
+    for i, ma in enumerate(models):
+        for mb in models[i + 1 :]:
+            for ws in sizes:
+                subj_a, subj_b = table.get((ma, ws), {}), table.get((mb, ws), {})
+                shared = sorted(subj_a.keys() & subj_b.keys())
+                if len(shared) >= 2:
+                    res = paired_t_test([subj_a[s] for s in shared], [subj_b[s] for s in shared])
+                    tests.append((ma, mb, ws, res.t, res.p, res.df, res.degenerate))
+
+    md = ["# Attention detection report", "",
+          "Per-cell: mean accuracy +/- SD across subjects (seed-averaged).", "",
+          "| model | " + " | ".join(f"{w:g} s" for w in sizes) + " |",
+          "|" + "---|" * (len(sizes) + 1)]
+    for model in models:
+        vals = [list(table.get((model, ws), {}).values()) for ws in sizes]
+        cells = [f"{np.mean(v):.3f} ± {np.std(v):.3f}" if v else "-" for v in vals]
+        md.append(f"| {model} | " + " | ".join(cells) + " |")
+    md.append("")
+    short = short_linear_windows(cfg)
+    if short:
+        md += ["## Skipped", ""]
+        md += [f"- linear at {ws:g} s windows: {why}" for ws, why in short.items()]
+        md.append("")
+    if tests:
+        md += ["## Paired t-tests (per-subject accuracies)", "",
+               "| pair | window | t | p |", "|---|---|---|---|"]
+        md += [f"| {ma} vs {mb} | {ws:g} s | {t:.3f} | {p:.4f} |"
+               for ma, mb, ws, t, p, _df, _deg in tests]
+        md.append("")
 
     with stage_output(out_dir, "report") as (tmp,):
-        lines = [METRICS_HEADER]
-        for (model, ws, subj), a in sorted(merged.items()):
-            lines.append(f"{model},{ws!r},{subj},{a!r}")
-        atomic_write_text(tmp / "metrics.csv", "\n".join(lines) + "\n")
-
-        models = sorted({k[0] for k in merged})
-        sizes = sorted({k[1] for k in merged})
-        md = ["# Attention detection report", ""]
-        md.append("Per-cell: mean accuracy +/- SD across subjects (seed-averaged).")
-        md.append("")
-        md.append("| model | " + " | ".join(f"{w:g} s" for w in sizes) + " |")
-        md.append("|" + "---|" * (len(sizes) + 1))
-        for model in models:
-            cells = []
-            for ws in sizes:
-                vals = [v for (m, w, _s), v in merged.items() if m == model and w == ws]
-                if vals:
-                    cells.append(f"{np.mean(vals):.3f} ± {np.std(vals):.3f}")
-                else:
-                    cells.append("-")
-            md.append(f"| {model} | " + " | ".join(cells) + " |")
-        md.append("")
-        short = short_linear_windows(cfg)
-        if short:
-            md.append("## Skipped")
-            md.append("")
-            for ws, why in short.items():
-                md.append(f"- linear at {ws:g} s windows: {why}")
-            md.append("")
-
-        pair_lines = [PAIRED_HEADER]
-        for i, ma in enumerate(models):
-            for mb in models[i + 1 :]:
-                for ws in sizes:
-                    subj_a = {s: v for (m, w, s), v in merged.items() if m == ma and w == ws}
-                    subj_b = {s: v for (m, w, s), v in merged.items() if m == mb and w == ws}
-                    shared = sorted(set(subj_a) & set(subj_b))
-                    if len(shared) < 2:
-                        continue
-                    res = paired_t_test(
-                        [subj_a[s] for s in shared], [subj_b[s] for s in shared]
-                    )
-                    pair_lines.append(
-                        f"{ma},{mb},{ws!r},{res.t!r},{res.p!r},{res.df},{res.degenerate}"
-                    )
-        atomic_write_text(tmp / "paired_tests.csv", "\n".join(pair_lines) + "\n")
-
-        if len(pair_lines) > 1:
-            md.append("## Paired t-tests (per-subject accuracies)")
-            md.append("")
-            md.append("| pair | window | t | p |")
-            md.append("|---|---|---|---|")
-            for line in pair_lines[1:]:
-                ma, mb, ws, t, p, _df, _deg = line.split(",")
-                md.append(f"| {ma} vs {mb} | {float(ws):g} s | {float(t):.3f} | {float(p):.4f} |")
-            md.append("")
+        write_table(tmp / "metrics.csv", METRICS_HEADER,
+                    ((m, w, s, a) for (m, w), by_subj in table.items() for s, a in by_subj.items()))
+        write_table(tmp / "paired_tests.csv", PAIRED_HEADER, tests)
         atomic_write_text(tmp / "report.md", "\n".join(md) + "\n")
 
 
 STAGES = ("synth", "preprocess", "extract", "train", "eval", "baseline", "report")
+
+
+def run_stage(name: str, cfg: PipelineConfig, out: Path) -> None:
+    """Run one stage on the workspace `out`, as `asad run` runs it: synth is
+    skipped when the recordings come from `recordings_dir`, the stage
+    function is looked up at call time (so a rebound one is the one run),
+    and any failure but a ConfigError is raised as "stage 'X' failed: ..."."""
+    if name == "synth" and cfg.recordings_dir:
+        print(f"synth: skipped, the recordings are read from {cfg.recordings_dir}",
+              file=sys.stderr)
+        return
+    try:
+        globals()[f"stage_{name}"](cfg, out)
+    except ConfigError:
+        raise
+    except Exception as exc:
+        raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
 
 
 def run_experiment(cfg: PipelineConfig, out_dir: str | Path) -> Path:
@@ -749,15 +739,7 @@ def run_experiment(cfg: PipelineConfig, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     atomic_write_text(out / "config.json", dump_header(asdict(cfg)))
     for name in STAGES:
-        if name == "synth" and cfg.recordings_dir:
-            continue
-        try:
-            # looked up at call time, so a rebound stage function is the one run
-            globals()[f"stage_{name}"](cfg, out)
-        except ConfigError:
-            raise
-        except Exception as exc:
-            raise RuntimeError(f"stage {name!r} failed: {exc}") from exc
+        run_stage(name, cfg, out)
     return out / "report"
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import tracemalloc
 import zlib
@@ -24,6 +25,7 @@ from asad.data import (
     stratified_split,
     synth_recording,
     window_hop,
+    write_table,
 )
 from asad.features import band_power
 from asad.pipeline import build_split, config_from_dict
@@ -542,3 +544,14 @@ def test_split_block_shorter_than_a_window_rejected():
     wins = _one_window_trials(10, 10)
     with pytest.raises(ValueError, match="split block of 99 s is 99 samples, shorter than a 100-sample window"):
         stratified_split(wins, seed=0, block_s=99.0, sample_rate=1.0)
+
+
+def test_write_table_writes_str_as_is_and_the_rest_as_repr(tmp_path):
+    path = tmp_path / "t.csv"
+    row = ("s", 0.1, 3, True, math.inf, -0.0)
+    write_table(path, "a,b,c,d,e,f", [row])
+    assert path.read_text() == "a,b,c,d,e,f\ns,0.1,3,True,inf,-0.0\n"
+    fields = path.read_text().splitlines()[1].split(",")
+    for want, text in zip(row, fields):
+        if isinstance(want, float):
+            assert np.float64(text).tobytes() == np.float64(want).tobytes()

@@ -17,6 +17,10 @@ from asad.network import (
     TrainConfig,
     TrainingDiverged,
     TRAINED,
+    _bn_backward,
+    _bn_relu,
+    _conv,
+    _conv_grads,
     _draw_masks,
     _pool,
     _pool_adjoint,
@@ -395,20 +399,36 @@ def test_rmsprop_keeps_dtype_and_inputs(dtype):
     assert np.array_equal(s1["w"], s1_before)
 
 
+def _shifted(x):
+    """(ki, kj, the input seen by tap (ki, kj) of a same-padded 3x3 conv)."""
+    h, w = x.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    return [(ki, kj, xp[:, :, ki : ki + h, kj : kj + w]) for ki in range(3) for kj in range(3)]
+
+
+def _loop_conv(x, conv_w, conv_b):
+    """A same-padded 3x3 conv written as nine shifted products."""
+    conv = np.zeros((x.shape[0], conv_w.shape[0], *x.shape[2:]))
+    for ki, kj, xs in _shifted(x):
+        conv += np.einsum("fc,bchw->bfhw", conv_w[:, :, ki, kj], xs)
+    return conv + conv_b[None, :, None, None]
+
+
+def _loop_conv_grads(x, dconv):
+    """`_loop_conv`'s weight and bias gradients for the output gradient dconv."""
+    dw = np.zeros((dconv.shape[1], x.shape[1], 3, 3))
+    for ki, kj, xs in _shifted(x):
+        dw[:, :, ki, kj] = np.einsum("bfhw,bchw->fc", dconv, xs)
+    return dw, dconv.sum(axis=(0, 2, 3))
+
+
 def _predict_float64(cfg, params, x):
     """Eval-mode decisions in float64 with a conv written as nine shifted
     products, independent of the network module's im2col and pool."""
     p = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
     x = np.asarray(x, dtype=np.float64)
     b, _, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    conv = np.zeros((b, cfg.conv_filters, h, w))
-    for ki in range(3):
-        for kj in range(3):
-            conv += np.einsum(
-                "fc,bchw->bfhw", p["conv_w"][:, :, ki, kj], xp[:, :, ki : ki + h, kj : kj + w]
-            )
-    conv += p["conv_b"][None, :, None, None]
+    conv = _loop_conv(x, p["conv_w"], p["conv_b"])
     scale = p["bn_gamma"] / np.sqrt(p["bn_running_var"] + cfg.bn_epsilon)
     bn = (conv - p["bn_running_mean"][None, :, None, None]) * scale[None, :, None, None]
     act = np.maximum(bn + p["bn_beta"][None, :, None, None], 0.0)
@@ -435,6 +455,70 @@ def test_evaluate_features_decides_in_float64():
     assert np.any(predict_proba(TINY, params, x).argmax(axis=1) != ref)  # float32 differs
     m = evaluate_features(Checkpoint(TINY, params, TrainConfig(), 0, 0.5), x, ref, ["s"] * 400)
     assert m.accuracy == 1.0
+
+
+LAYER_SHAPES = dict(
+    b=st.integers(1, 4), f=st.integers(1, 3), hw=st.integers(1, 4).map(lambda k: 2 * k),
+    seed=st.integers(0, 2**16),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LAYER_SHAPES, c=st.integers(1, 3))
+def test_conv_and_its_gradients_match_the_loop_convolution(b, c, f, hw, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, c, hw, hw))
+    conv_w, conv_b = rng.normal(size=(f, c, 3, 3)), rng.normal(size=f)
+    dconv = rng.normal(size=(b, f, hw, hw))
+    cols, conv = _conv(x, conv_w, conv_b)
+    np.testing.assert_allclose(conv.reshape(b, f, hw, hw), _loop_conv(x, conv_w, conv_b),
+                               rtol=1e-12, atol=1e-12)
+    for got, want in zip(_conv_grads(dconv, cols, conv_w.shape), _loop_conv_grads(x, dconv)):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LAYER_SHAPES, given_stats=st.booleans())
+def test_bn_relu_matches_the_formula(b, f, hw, seed, given_stats):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(loc=rng.normal(size=(1, f, 1, 1)), size=(b, f, hw, hw))
+    gamma, beta, eps = rng.normal(size=f), rng.normal(size=f), 1e-5
+    if given_stats:
+        stats = (rng.normal(size=f), rng.uniform(0.5, 2.0, size=f))
+        mean, var = stats
+    else:
+        stats, mean, var = None, x.mean(axis=(0, 2, 3)), x.var(axis=(0, 2, 3))
+    col = (slice(None), None, None)
+    xhat = (x - mean[col]) / np.sqrt(var[col] + eps)
+    want = np.maximum(gamma[col] * xhat + beta[col], 0.0)
+    buf = x.copy()
+    relu, mu, v, inv_std = _bn_relu(buf, gamma, beta, eps, stats)
+    np.testing.assert_allclose(relu, want, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(buf, xhat, rtol=1e-10, atol=1e-12)  # buf became xhat
+    np.testing.assert_allclose(mu, mean, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(v, var, rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(inv_std, 1.0 / np.sqrt(var + eps), rtol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**LAYER_SHAPES)
+def test_bn_backward_matches_the_per_channel_formula(b, f, hw, seed):
+    """dconv = gamma * inv_std / n * (n * dy - sum(dy) - xhat * sum(dy * xhat)),
+    dgamma = sum(dy * xhat), dbeta = sum(dy), one channel at a time."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(b, f, hw, hw))
+    dy = rng.normal(size=x.shape)
+    gamma, eps = rng.normal(size=f), 1e-5
+    inv_std = 1.0 / np.sqrt(x.var(axis=(0, 2, 3)) + eps)
+    xhat = (x - x.mean(axis=(0, 2, 3))[:, None, None]) * inv_std[:, None, None]
+    n = b * hw * hw
+    dconv, dgamma, dbeta = _bn_backward(dy.copy(), xhat, gamma, inv_std)
+    for k in range(f):
+        g, xk = dy[:, k], xhat[:, k]
+        want = gamma[k] * inv_std[k] / n * (n * g - g.sum() - xk * np.sum(g * xk))
+        np.testing.assert_allclose(dconv[:, k], want, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(dgamma[k], np.sum(g * xk), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(dbeta[k], g.sum(), rtol=1e-12, atol=1e-12)
 
 
 PREDICT_CHUNK = inspect.signature(predict_proba).parameters["chunk"].default

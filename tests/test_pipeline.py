@@ -269,12 +269,31 @@ def test_rerun_byte_identical(tiny_workspace, tmp_path):
         assert (out / rel).read_bytes() == (out2 / rel).read_bytes(), rel
 
 
+def _files(root: Path) -> set[Path]:
+    return {q.relative_to(root) for q in root.rglob("*") if q.is_file()}
+
+
 def test_stage_commands_individually(tiny_workspace, tmp_path):
-    cfg_path, _ = tiny_workspace
+    """The seven stage commands write the files of `asad run`, byte for byte,
+    all but the run's config.json."""
+    cfg_path, run_out = tiny_workspace
     out = tmp_path / "stages"
-    for stage in ("synth", "preprocess", "extract", "train", "eval", "baseline", "report"):
+    for stage in pipeline.STAGES:
         assert main([stage, "--config", str(cfg_path), "--out", str(out)]) == 0
-    assert (out / "report" / "metrics.csv").exists()
+    written = _files(out)
+    assert written == _files(run_out) - {Path("config.json")}
+    for rel in sorted(written):
+        assert (out / rel).read_bytes() == (run_out / rel).read_bytes(), rel
+
+
+def test_synth_command_skips_under_recordings_dir(tiny_workspace, tmp_path, capsys):
+    cfg_path, run_out = tiny_workspace
+    out = tmp_path / "o"
+    rec_dir = str(run_out / "recordings")
+    assert main(["synth", "--config", str(cfg_path), "--out", str(out),
+                 "--set", f"recordings_dir={rec_dir}"]) == 0
+    assert not (out / "recordings").exists()
+    assert rec_dir in capsys.readouterr().err
 
 
 def test_dump_map_lateralized(tiny_workspace, tmp_path):
@@ -339,10 +358,11 @@ def test_config_error_exit_code(tmp_path):
     assert main(["run", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
 
 
-def test_runtime_error_exit_code(tmp_path):
+def test_runtime_error_exit_code(tmp_path, capsys):
     # extract without preprocess: missing inputs is a runtime failure
     p = _write_config(tmp_path)
     assert main(["extract", "--config", str(p), "--out", str(tmp_path / "o")]) == 1
+    assert "stage 'extract' failed" in capsys.readouterr().err
 
 
 def test_failed_stage_leaves_no_partial_output(tmp_path):

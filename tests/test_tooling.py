@@ -1,7 +1,9 @@
 """Names that code outside the package reaches into: the benchmark's tracer
 wraps module and class attributes by name (`owner.__dict__[attr]`), and the
-scripts import from asad at start-up, so a rename breaks them silently."""
+scripts import from asad at start-up and call its private layer functions,
+so a rename breaks them silently."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -33,7 +35,7 @@ def test_tracer_installs_and_restores_every_attribute(monkeypatch):
         assert [k for k, v in attrs.items() if now[k] is not v] == [], owner
 
 
-@pytest.mark.parametrize("script", ["bench_kernels.py", "stage_rss.py"])
+@pytest.mark.parametrize("script", ["bench_kernels.py", "bench_pairs.py", "stage_rss.py"])
 def test_script_starts(script):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
@@ -41,3 +43,18 @@ def test_script_starts(script):
                           capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout.startswith("usage:")
+
+
+def test_every_trainer_kernel_row_runs(monkeypatch):
+    """Each `bench_kernels.py` trainer row but the whole epochs, called once."""
+    # the script sets a default BLAS thread count at import; keep it to this test
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
+    path = ROOT / "scripts" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    rows = bench.trainer_kernels()
+    assert any(name.startswith("bn_backward_") for name in rows)
+    for name, (_what, fn) in rows.items():
+        if not name.startswith("train_epoch_"):
+            fn()
