@@ -41,7 +41,10 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   the bias sum), the batch-norm forward (with the ReLU) and backward,
   `_pool` and `_pool_adjoint`, the fc1 products (forward, then the
   weight, bias and input gradients), `rmsprop_step` on every trained
-  tensor, the whole `loss_and_grad`, and one `train_arrays` epoch on
+  tensor (the pure step: copies of the parameters and the state, then the
+  update), `rmsprop_update` (the in-place update that `train_arrays`
+  runs, on the row's own copies; the row is left out for a checkout from
+  before it), the whole `loss_and_grad`, and one `train_arrays` epoch on
   1,400 windows (140 validation windows). The conv, batch-norm and fc1
   rows call the layer functions that `forward` and `loss_and_grad` are
   built from (`_conv`, `_conv_grads`, `_bn_relu`, `_bn_backward`,
@@ -49,6 +52,14 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   before those functions. The batch-norm forward row works in place on
   its conv buffer, as `forward` does; the backward row includes a copy
   of its input, since it works in place.
+
+Rows are built and run group by group: the trainer, the split, the CNN
+path, then the tensor cache. A row's figure depends on the rows run
+before it in the same process, so `--only ROW[,ROW]` runs just the named
+rows, in that order, after building only the groups up to the last one
+that holds a named row, and skips the ridge rows. One row per process:
+
+    PYTHONPATH=src python3 scripts/bench_kernels.py --only rmsprop_update_5ch
 
 `--paper-scale` instead runs three calls once each at the paper's
 recording length, 48 min, and reports the time and tracemalloc peak of
@@ -120,6 +131,11 @@ from asad.network import (  # noqa: E402
     rmsprop_step,
     train_arrays,
 )
+
+try:
+    from asad.network import rmsprop_update  # noqa: E402
+except ImportError:  # a checkout from before the in-place update
+    rmsprop_update = None
 from asad.pipeline import (  # noqa: E402
     FeatureSection,
     _synth_subject,
@@ -369,6 +385,12 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
                                     f"one epoch", lambda cfg=cfg, x=x_epoch, y=y_epoch:
                                     train_arrays(cfg, tc, x[:1400], y[:1400], x[1400:], y[1400:])),
         })
+        if rmsprop_update is not None:
+            own_p = {k: params[k].copy() for k in TRAINED}
+            own_s = {k: v.copy() for k, v in state.items()}
+            kernels[f"rmsprop_update_{ch}ch"] = (
+                what + ", every trained tensor, in place on the row's own copies",
+                lambda p=own_p, g=trained, s=own_s: rmsprop_update(p, g, s, 1, tc))
     flat, fc1_w, fc1_b = cache["flat"], params["fc1_w"], params["fc1_b"]
     dfc1 = np.random.default_rng(3).normal(size=(64, fc1_w.shape[0])).astype(np.float32)
     kernels["fc1_products"] = (
@@ -378,12 +400,27 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
     return kernels
 
 
-def kernel_table(repeats: int) -> dict:
+def kernel_rows(root: Path, only: list[str] | None) -> dict[str, tuple[str, object]]:
+    """Every row, group by group, or the rows named in `only`, in that
+    order, with no group built after the last one that holds one of them."""
+    rows: dict[str, tuple[str, object]] = {}
+    for build in (trainer_kernels, split_kernels, cnn_kernels, lambda: cache_kernels(root)):
+        if only is not None and all(name in rows for name in only):
+            break
+        rows.update(build())
+    if only is None:
+        return rows
+    unknown = [name for name in only if name not in rows]
+    if unknown:
+        raise SystemExit(f"unknown kernel rows: {', '.join(unknown)}")
+    return {name: rows[name] for name in only}
+
+
+def kernel_table(repeats: int, only: list[str] | None = None) -> dict:
     table = {}
     root = Path(tempfile.mkdtemp(prefix="bench-kernels-"))
     try:
-        kernels = {**cnn_kernels(), **split_kernels(), **cache_kernels(root), **trainer_kernels()}
-        for name, (what, fn) in kernels.items():
+        for name, (what, fn) in kernel_rows(root, only).items():
             fn()  # warm-up: imports, interpolator tables
             table[name] = {
                 "inputs": what,
@@ -460,13 +497,19 @@ def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--repeats", type=int, default=7)
     ap.add_argument("--paper-scale", action="store_true")
+    ap.add_argument("--only", type=lambda text: text.split(","), metavar="ROW[,ROW]",
+                    help="run just these kernel rows, in this order, and no ridge rows")
     ap.add_argument("--out", type=Path)
     ap.add_argument("--label")
     args = ap.parse_args(argv)
     if (args.out is None) != (args.label is None):
         ap.error("--out and --label go together")
+    if args.paper_scale and args.only:
+        ap.error("--only selects kernel rows, which --paper-scale does not run")
     result = {"script": "scripts/bench_kernels.py", "machine": machine()}
-    if args.paper_scale:
+    if args.only:
+        result.update({"repeats": args.repeats, "kernels": kernel_table(args.repeats, args.only)})
+    elif args.paper_scale:
         result["paper_scale"] = {
             "preprocess_recording": paper_preprocess(),
             "_synth_subject": paper_synth_subject(),

@@ -27,7 +27,7 @@ TENSOR_ORDER = (
     "fc1_w", "fc1_b", "fc2_w", "fc2_b", "out_w", "out_b",
 )
 TRAINED = tuple(n for n in TENSOR_ORDER if not n.startswith("bn_running"))
-RMSPROP_BLOCK = 65536  # elements per pass of rmsprop_step: a block of each operand stays in L2
+RMSPROP_BLOCK = 65536  # elements per pass of rmsprop_update: a block of each operand stays in L2
 
 
 @dataclass
@@ -162,7 +162,8 @@ def _draw_masks(
             masks[name] = np.ones(shape, dtype=dtype)
         else:
             keep = rng.random(shape, dtype=dtype) >= p
-            masks[name] = (keep / (1.0 - p)).astype(dtype, copy=False)
+            # the scale rounded once to dtype: no float64 mask on the way
+            masks[name] = np.multiply(keep, np.dtype(dtype).type(1 / (1 - p)), dtype=dtype)
     return masks
 
 
@@ -175,16 +176,21 @@ def _pool(a: np.ndarray) -> np.ndarray:
     return pooled
 
 
-def _pool_adjoint(dpooled: np.ndarray, relu: np.ndarray) -> np.ndarray:
+def _pool_adjoint(dpooled: np.ndarray, relu: np.ndarray,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Gradient at the pool's ReLU input: each of the four inputs of a cell
-    gets a quarter of the cell's gradient where the ReLU passed it."""
+    gets a quarter of the cell's gradient where the ReLU passed it. Written
+    into `out` when given, which may be `relu` itself."""
     b, f, hp, wp = dpooled.shape
     # repeated along columns, broadcast over each cell's row pair: a
     # broadcast of length 2 in the innermost axis runs about twice as slow
     quarter = np.repeat(dpooled * 0.25, 2, axis=3)[:, :, :, None, :]
     rows = (b, f, hp, 2, 2 * wp)
-    out = np.empty_like(relu)
-    np.multiply(quarter, relu.reshape(rows) > 0, out=out.reshape(rows))
+    passed = relu.reshape(rows) > 0
+    out = np.empty_like(relu) if out is None else out
+    if not out.flags.c_contiguous:
+        raise ValueError("the pool adjoint's output must be C-contiguous")
+    np.multiply(quarter, passed, out=out.reshape(rows))
     return out
 
 
@@ -292,6 +298,8 @@ def forward(
     train = mode == "train"
 
     cols, conv = _conv(x, p["conv_w"], p["conv_b"])
+    if not train:
+        cols = None  # the patches, an eval pass's largest buffer, have no later use
     xhat = conv.reshape(b, f, h, w)
     stats = None if train else (p["bn_running_mean"], p["bn_running_var"])
     relu1, mu, var, inv_std = _bn_relu(xhat, p["bn_gamma"], p["bn_beta"], cfg.bn_epsilon, stats)
@@ -340,20 +348,26 @@ def loss_and_grad(
     rng: np.random.Generator | None = None,
     masks: dict | None = None,
 ):
-    """Mean cross-entropy and its gradient w.r.t. every trainable tensor.
+    """Mean cross-entropy, its gradient w.r.t. every trainable tensor, and
+    `aux`: the correct decisions and the batch mean and variance.
 
     Backpropagates through the batch-norm batch statistics and reuses the
     dropout masks drawn in the forward pass. The loss comes from the
-    float64 softmax; the gradients are in the parameters' dtype. Raises
-    FloatingPointError when the loss or the gradient norm is not finite.
+    float64 softmax; the gradients are in the parameters' dtype. Each
+    activation leaves the cache at its last use, and the pool adjoint goes
+    into the ReLU output's buffer, so at most the patches and three
+    conv-sized buffers are alive; fc1's weight gradient is formed after
+    them. Raises FloatingPointError when the loss or the gradient norm is
+    not finite.
     """
     y = np.asarray(labels)
     if y.ndim != 1 or np.any((y != 0) & (y != 1)):
         raise ValueError("labels must be a vector over {0, 1}")
     probs, cache = forward(cfg, params, batch, mode="train", rng=rng, masks=masks)
+    del cache["pooled"]  # the backward pass reads the dropped copy, `flat`
     b = len(y)
     p = cache["params"]
-    xhat = cache["xhat"]
+    masks = cache.pop("masks")
 
     eps = np.finfo(float).tiny
     loss = float(-np.mean(np.log(probs[np.arange(b), y] + eps)))
@@ -362,22 +376,31 @@ def loss_and_grad(
     dlogits = probs.copy()
     dlogits[np.arange(b), y] -= 1.0
     dlogits /= b
-    dlogits = dlogits.astype(xhat.dtype, copy=False)
+    dlogits = dlogits.astype(cache["xhat"].dtype, copy=False)
 
     grads: dict[str, np.ndarray] = {}
-    grads["out_w"], grads["out_b"], drelu3 = _dense_grads(dlogits, cache["relu3"], p["out_w"])
-    dfc2 = drelu3 * (cache["fc2"] > 0)
-    grads["fc2_w"], grads["fc2_b"], ddrop2 = _dense_grads(dfc2, cache["drop2"], p["fc2_w"])
-    drelu2 = ddrop2 * cache["masks"]["drop_fc1"]
-    dfc1 = drelu2 * (cache["fc1"] > 0)
-    grads["fc1_w"], grads["fc1_b"], dflat = _dense_grads(dfc1, cache["flat"], p["fc1_w"])
+    # each input gradient of a dense layer is scaled in place into the one below
+    grads["out_w"], grads["out_b"], dfc2 = _dense_grads(dlogits, cache.pop("relu3"), p["out_w"])
+    dfc2 *= cache.pop("fc2") > 0
+    grads["fc2_w"], grads["fc2_b"], dfc1 = _dense_grads(dfc2, cache.pop("drop2"), p["fc2_w"])
+    dfc1 *= masks["drop_fc1"]
+    dfc1 *= cache.pop("fc1") > 0
+    dflat = dfc1 @ p["fc1_w"]
 
     hp = cfg.pooled_size
-    dpooled = dflat.reshape(b, cfg.conv_filters, hp, hp) * cache["masks"]["drop_pool"]
-    dbn = _pool_adjoint(dpooled, cache["relu1"])
-    dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, xhat, p["bn_gamma"],
-                                                              cache["inv_std"])
-    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache["cols"], p["conv_w"].shape)
+    dpooled = dflat.reshape(b, cfg.conv_filters, hp, hp)
+    dpooled *= masks.pop("drop_pool")
+    relu1 = cache.pop("relu1")
+    dbn = _pool_adjoint(dpooled, relu1, out=relu1)
+    del dflat, dpooled, relu1
+    dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, cache.pop("xhat"),
+                                                              p["bn_gamma"], cache["inv_std"])
+    del dbn
+    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache.pop("cols"), p["conv_w"].shape)
+    del dconv
+    # fc1's weight gradient (the products of `_dense_grads`) once the conv buffers are gone
+    flat = cache.pop("flat")
+    grads["fc1_w"], grads["fc1_b"] = dfc1.T @ flat, dfc1.sum(axis=0)
 
     # one pass per tensor: a non-finite element (or a norm past the dtype's
     # range) gives a non-finite norm
@@ -389,40 +412,55 @@ def loss_and_grad(
     return loss, grads, aux
 
 
-def rmsprop_step(
-    params: dict, grads: dict, state: dict | None, t: int, cfg: TrainConfig
-) -> tuple[dict, dict]:
-    """v <- rho v + (1-rho) g^2; theta <- theta - lr_t g / (sqrt(v) + eps),
-    with lr_t = learning_rate / (1 + decay * t), in each gradient's dtype,
-    RMSPROP_BLOCK elements at a time into the new v and theta (elementwise,
-    so bit for bit). Pure function of inputs: returns new dicts and arrays."""
+def rmsprop_update(params: dict, grads: dict, state: dict, t: int, cfg: TrainConfig) -> None:
+    """In place, for each tensor of `grads`: v <- rho v + (1-rho) g^2 into
+    state[name] and theta <- theta - lr_t g / (sqrt(v) + eps) into
+    params[name], with lr_t = learning_rate / (1 + decay * t).
+    RMSPROP_BLOCK elements at a time through two block-sized temporaries;
+    elementwise, so bit for bit the whole-array formula. params[name] and
+    state[name] must be C-contiguous arrays of the gradient's dtype and shape."""
     cfg.validate()
     lr_t = cfg.learning_rate / (1.0 + cfg.decay * t)
     rho = cfg.rmsprop_rho
-    new_params = dict(params)
-    new_state = {}
     for name, g in grads.items():
-        g = np.asarray(g)
-        v_old = np.zeros_like(g) if state is None else np.asarray(state[name], dtype=g.dtype)
-        if v_old.shape != g.shape:
-            raise ValueError(f"optimizer state shape mismatch for {name!r}")
-        v, theta = np.empty(g.shape, g.dtype), np.empty(g.shape, g.dtype)
+        g, v, theta = np.asarray(g), state[name], params[name]
+        if not all(a.shape == g.shape and a.dtype == g.dtype and a.flags.c_contiguous
+                   for a in (v, theta)):
+            raise ValueError(f"optimizer state or parameter of {name!r} is not a "
+                             f"C-contiguous {g.dtype} array of shape {g.shape}")
         tmp = np.empty(min(g.size, RMSPROP_BLOCK), g.dtype)
-        flat = [a.reshape(-1) for a in (g, v_old, np.asarray(params[name]), v, theta)]
+        step = np.empty_like(tmp)
+        flat_g, flat_v, flat_theta = (a.reshape(-1) for a in (g, v, theta))
         for lo in range(0, g.size, RMSPROP_BLOCK):
-            gb, old, pb, vb, step = (a[lo : lo + RMSPROP_BLOCK] for a in flat)
-            tb = tmp[: len(gb)]
-            np.multiply(rho, old, out=vb)
+            hi = lo + RMSPROP_BLOCK
+            gb, vb, pb = flat_g[lo:hi], flat_v[lo:hi], flat_theta[lo:hi]
+            tb, sb = tmp[: len(gb)], step[: len(gb)]
+            np.multiply(rho, vb, out=vb)
             np.multiply(1.0 - rho, gb, out=tb)
             tb *= gb
             vb += tb
             denom = np.sqrt(vb, out=tb)
             denom += cfg.rmsprop_epsilon
-            np.multiply(lr_t, gb, out=step)
-            step /= denom
-            np.subtract(np.asarray(pb, dtype=g.dtype), step, out=step)
-        new_state[name] = v
-        new_params[name] = theta.astype(params[name].dtype, copy=False)
+            np.multiply(lr_t, gb, out=sb)
+            sb /= denom
+            np.subtract(pb, sb, out=pb)
+
+
+def rmsprop_step(
+    params: dict, grads: dict, state: dict | None, t: int, cfg: TrainConfig
+) -> tuple[dict, dict]:
+    """`rmsprop_update` on copies in each gradient's dtype (zeros for a None
+    state): new dicts, each parameter cast back to its input's dtype, and
+    the inputs left as they were."""
+    new_state, theta = {}, {}
+    for name, g in grads.items():
+        g = np.asarray(g)
+        new_state[name] = (np.zeros_like(g) if state is None
+                           else np.array(state[name], dtype=g.dtype, order="C"))
+        theta[name] = np.array(params[name], dtype=g.dtype, order="C")
+    rmsprop_update(theta, grads, new_state, t, cfg)
+    new_params = dict(params)
+    new_params.update({k: v.astype(params[k].dtype, copy=False) for k, v in theta.items()})
     return new_params, new_state
 
 
@@ -480,7 +518,7 @@ def train_arrays(
     rng = np.random.default_rng(train_cfg.seed)
     params = init_params(cnn_cfg, rng)
     validate_params(cnn_cfg, params)
-    state: dict | None = None
+    state = {k: np.zeros_like(params[k]) for k in TRAINED}
     mom = cnn_cfg.bn_momentum
     n = len(x_train)
     history: list[dict] = []
@@ -499,8 +537,7 @@ def train_arrays(
                 raise TrainingDiverged(
                     f"training diverged at epoch {epoch}, batch {lo // train_cfg.batch_size}: {exc}"
                 ) from exc
-            params, state = rmsprop_step(params, {k: grads[k] for k in TRAINED}, state,
-                                         epoch, train_cfg)
+            rmsprop_update(params, grads, state, epoch, train_cfg)
             del grads  # freed before the next step's are built
             run_mean, run_var = params["bn_running_mean"], params["bn_running_var"]
             params["bn_running_mean"] = mom * run_mean + (1.0 - mom) * aux["batch_mean"]

@@ -21,6 +21,7 @@ from asad.network import (
     _bn_relu,
     _conv,
     _conv_grads,
+    _dense_grads,
     _draw_masks,
     _pool,
     _pool_adjoint,
@@ -33,6 +34,7 @@ from asad.network import (
     param_shapes,
     predict_proba,
     rmsprop_step,
+    rmsprop_update,
     save_checkpoint,
     train_arrays,
 )
@@ -399,6 +401,169 @@ def test_rmsprop_keeps_dtype_and_inputs(dtype):
     assert np.array_equal(s1["w"], s1_before)
 
 
+# ---------------------------------------------------------------------------
+# the bounded training step keeps the bytes of the whole-buffer one
+# ---------------------------------------------------------------------------
+
+def _loss_and_grad_whole_cache(cfg, params, batch, labels, rng=None, masks=None):
+    """loss_and_grad as it was before the step bounded its working set: every
+    activation cached to the end, fc1's gradients formed before the conv
+    backward, dpooled and the pool adjoint in new buffers."""
+    y = np.asarray(labels)
+    probs, cache = forward(cfg, params, batch, mode="train", rng=rng, masks=masks)
+    b = len(y)
+    p = cache["params"]
+    xhat = cache["xhat"]
+    loss = float(-np.mean(np.log(probs[np.arange(b), y] + np.finfo(float).tiny)))
+    correct = int(np.sum(probs.argmax(axis=1) == y))
+    dlogits = probs.copy()
+    dlogits[np.arange(b), y] -= 1.0
+    dlogits /= b
+    dlogits = dlogits.astype(xhat.dtype, copy=False)
+    grads = {}
+    grads["out_w"], grads["out_b"], drelu3 = _dense_grads(dlogits, cache["relu3"], p["out_w"])
+    dfc2 = drelu3 * (cache["fc2"] > 0)
+    grads["fc2_w"], grads["fc2_b"], ddrop2 = _dense_grads(dfc2, cache["drop2"], p["fc2_w"])
+    drelu2 = ddrop2 * cache["masks"]["drop_fc1"]
+    dfc1 = drelu2 * (cache["fc1"] > 0)
+    grads["fc1_w"], grads["fc1_b"], dflat = _dense_grads(dfc1, cache["flat"], p["fc1_w"])
+    hp = cfg.pooled_size
+    dpooled = dflat.reshape(b, cfg.conv_filters, hp, hp) * cache["masks"]["drop_pool"]
+    dbn = _pool_adjoint(dpooled, cache["relu1"])
+    dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, xhat, p["bn_gamma"],
+                                                              cache["inv_std"])
+    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache["cols"], p["conv_w"].shape)
+    aux = {"correct": correct, "batch_mean": cache["mu"], "batch_var": cache["var"]}
+    return loss, grads, aux
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    batch=st.integers(1, 70),
+    in_channels=st.integers(1, 5),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    seed=st.integers(0, 2**16),
+)
+def test_loss_and_grad_keeps_the_whole_cache_bytes(batch, in_channels, dtype, seed):
+    cfg = CnnConfig(in_channels=in_channels)
+    rng = np.random.default_rng(seed)
+    params = {k: v.astype(dtype) for k, v in init_params(cfg, rng).items()}
+    x = rng.normal(size=(batch, in_channels, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 2, size=batch)
+    loss, grads, aux = loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(seed))
+    want = _loss_and_grad_whole_cache(cfg, params, x, y, rng=np.random.default_rng(seed))
+    assert loss == want[0]
+    assert sorted(grads) == sorted(want[1])
+    for name, g in grads.items():
+        assert g.dtype == want[1][name].dtype and g.tobytes() == want[1][name].tobytes(), name
+    assert aux["correct"] == want[2]["correct"]
+    for key in ("batch_mean", "batch_var"):
+        assert aux[key].tobytes() == want[2][key].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    p=st.floats(0.0, 0.99),
+    dtype=st.sampled_from([np.float32, np.float64]),
+    batch=st.integers(1, 5),
+    seed=st.integers(0, 2**16),
+)
+def test_dropout_masks_equal_the_float64_scaled_masks(p, dtype, batch, seed):
+    """The masks built in their own dtype give the bytes of `keep / (1 - p)`
+    formed in float64 and cast."""
+    cfg = CnnConfig(in_channels=2, conv_filters=2, in_size=8, fc_sizes=(16, 8), dropout_p=p)
+    got = _draw_masks(cfg, batch, np.random.default_rng(seed), dtype)
+    rng = np.random.default_rng(seed)
+    for name, shape in (("drop_pool", (batch, 2, 4, 4)), ("drop_fc1", (batch, 16))):
+        if p == 0.0:
+            want = np.ones(shape, dtype=dtype)
+        else:
+            want = ((rng.random(shape, dtype=dtype) >= p) / (1.0 - p)).astype(dtype, copy=False)
+        assert got[name].dtype == want.dtype and got[name].tobytes() == want.tobytes()
+
+
+def _train_with_pure_steps(cnn_cfg, train_cfg, x_train, y_train, x_val, y_val):
+    """train_arrays' loop with the pure rmsprop_step: new parameter and state
+    arrays at every step."""
+    rng = np.random.default_rng(train_cfg.seed)
+    params = init_params(cnn_cfg, rng)
+    state, mom, n = None, cnn_cfg.bn_momentum, len(x_train)
+    best_acc, best_epoch, best_params, stale = -1.0, -1, None, 0
+    for epoch in range(train_cfg.max_epochs):
+        order = rng.permutation(n)
+        for lo in range(0, n, train_cfg.batch_size):
+            idx = order[lo : lo + train_cfg.batch_size]
+            _, grads, aux = loss_and_grad(cnn_cfg, params, x_train[idx], y_train[idx], rng=rng)
+            params, state = rmsprop_step(params, grads, state, epoch, train_cfg)
+            params["bn_running_mean"] = (mom * params["bn_running_mean"]
+                                         + (1.0 - mom) * aux["batch_mean"])
+            params["bn_running_var"] = np.maximum(
+                mom * params["bn_running_var"] + (1.0 - mom) * aux["batch_var"], 1e-12)
+        val_acc = float(np.mean(predict_proba(cnn_cfg, params, x_val).argmax(axis=1) == y_val))
+        if val_acc > best_acc:
+            best_acc, best_epoch, stale = val_acc, epoch, 0
+            best_params = {k: v.copy() for k, v in params.items()}
+        else:
+            stale += 1
+            if stale >= train_cfg.early_stop_patience:
+                break
+    return best_params, best_epoch
+
+
+def test_in_place_training_keeps_the_pure_step_checkpoint():
+    """Seed 1 peaks at epoch 0 of 6: the best weights are copied, then
+    updated on for five epochs, so an alias of the in-place update would
+    show in the checkpoint."""
+    x, y = _blob_data(TINY, 96, seed=1, separation=0.3)
+    tc = TrainConfig(max_epochs=6, batch_size=16, seed=1)
+    ckpt, history = train_arrays(TINY, tc, x[:64], y[:64], x[64:], y[64:])
+    want, want_epoch = _train_with_pure_steps(TINY, tc, x[:64], y[:64], x[64:], y[64:])
+    assert ckpt.epoch == want_epoch < len(history) - 1
+    for name in want:
+        assert ckpt.params[name].tobytes() == want[name].tobytes(), name
+
+
+def test_rmsprop_update_works_in_place_and_rejects_a_copying_layout():
+    rng = np.random.default_rng(4)
+    params = {"w": rng.normal(size=(3, 4)).astype(np.float32)}
+    grads = {"w": rng.normal(size=(3, 4)).astype(np.float32)}
+    state = {"w": np.zeros((3, 4), np.float32)}
+    want_p, want_s = rmsprop_step(params, grads, None, 2, TrainConfig())
+    buffers = (params["w"], state["w"])
+    rmsprop_update(params, grads, state, 2, TrainConfig())
+    assert params["w"] is buffers[0] and state["w"] is buffers[1]
+    assert params["w"].tobytes() == want_p["w"].tobytes()
+    assert state["w"].tobytes() == want_s["w"].tobytes()
+    with pytest.raises(ValueError, match="C-contiguous"):
+        rmsprop_update({"w": np.zeros((4, 3), np.float32).T}, grads, state, 0, TrainConfig())
+    with pytest.raises(ValueError, match="C-contiguous"):
+        rmsprop_update(params, grads, {"w": np.zeros((3, 4))}, 0, TrainConfig())
+
+
+@pytest.mark.parametrize("in_channels", [1, 5])
+def test_loss_and_grad_memory_is_bounded_by_its_conv_buffers(in_channels):
+    """At batch 64, one step's traced peak stays under the patches, three
+    conv outputs (xhat, the ReLU buffer that takes the pool adjoint, one
+    batch-norm temporary) and 2 MiB for the rest: activations leave the
+    cache at their last use, and fc1's 4 MiB weight gradient is formed
+    after the conv buffers are freed."""
+    cfg = CnnConfig(in_channels=in_channels)
+    rng = np.random.default_rng(in_channels)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(64, in_channels, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 2, size=64)
+    loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    conv_bytes = 64 * cfg.conv_filters * 32 * 32 * 4
+    cols_bytes = 64 * in_channels * 9 * 32 * 32 * 4
+    assert peak < cols_bytes + 3 * conv_bytes + 2 * 2**20
+
+
 def _shifted(x):
     """(ki, kj, the input seen by tap (ki, kj) of a same-padded 3x3 conv)."""
     h, w = x.shape[2:]
@@ -633,8 +798,8 @@ def test_nan_gradient_during_training_diverges(monkeypatch):
 
     real_adjoint = network._pool_adjoint
 
-    def nan_adjoint(dpooled, relu):
-        out = real_adjoint(dpooled, relu)
+    def nan_adjoint(dpooled, relu, out=None):
+        out = real_adjoint(dpooled, relu, out)
         out.flat[0] = np.nan
         return out
 

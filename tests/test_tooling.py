@@ -45,16 +45,37 @@ def test_script_starts(script):
     assert done.stdout.startswith("usage:")
 
 
-def test_every_trainer_kernel_row_runs(monkeypatch):
-    """Each `bench_kernels.py` trainer row but the whole epochs, called once."""
-    # the script sets a default BLAS thread count at import; keep it to this test
+def _bench_kernels(monkeypatch):
+    # the script sets a default BLAS thread count at import; keep it to the test
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
     path = ROOT / "scripts" / "bench_kernels.py"
     spec = importlib.util.spec_from_file_location("bench_kernels", path)
     bench = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench)
-    rows = bench.trainer_kernels()
+    return bench
+
+
+def test_every_trainer_kernel_row_runs(monkeypatch):
+    """Each `bench_kernels.py` trainer row but the whole epochs, called once."""
+    rows = _bench_kernels(monkeypatch).trainer_kernels()
     assert any(name.startswith("bn_backward_") for name in rows)
     for name, (_what, fn) in rows.items():
         if not name.startswith("train_epoch_"):
             fn()
+
+
+def test_bench_kernels_only_builds_the_groups_it_needs(monkeypatch, tmp_path):
+    """`--only` rows come in the order named, and the tensor cache group,
+    which runs three stages to build, is not built for trainer rows."""
+    bench = _bench_kernels(monkeypatch)
+
+    def no_cache(root):
+        raise AssertionError("the tensor cache group was built")
+
+    monkeypatch.setattr(bench, "cache_kernels", no_cache)
+    rows = bench.kernel_rows(tmp_path, ["rmsprop_update_5ch", "pool_1ch"])
+    assert list(rows) == ["rmsprop_update_5ch", "pool_1ch"]
+    monkeypatch.setattr(bench, "cnn_kernels", dict)
+    monkeypatch.setattr(bench, "cache_kernels", lambda root: {})
+    with pytest.raises(SystemExit, match="unknown kernel rows: no_such_row"):
+        bench.kernel_rows(tmp_path, ["pool_1ch", "no_such_row"])
