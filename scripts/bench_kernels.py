@@ -36,11 +36,11 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   70 Hz (8 trials each, one channel: windows hold no samples), 0.1 s
   windows at 50 % overlap, the ROADMAP's paper scale.
 - The trainer (`kernels`), for the default CNN in float32 at batch 64
-  with 1 and 5 input channels (`_1ch`, `_5ch`): the conv (`_im2col`, the
-  product and the in-place bias add), its gradients (the `dW` einsum and
-  the bias sum), the batch-norm forward (with the ReLU) and backward,
-  `_pool` and `_pool_adjoint`, the fc1 products (forward, then the
-  weight, bias and input gradients), `rmsprop_step` on every trained
+  with 1 and 5 input channels (`_1ch`, `_5ch`): the conv (the patches,
+  the product and the in-place bias add), its gradients (the `dW`
+  products and the bias sum), the batch-norm forward (with the ReLU) and
+  backward, `_pool` and `_pool_adjoint`, the fc1 products (forward, then
+  the weight, bias and input gradients), `rmsprop_step` on every trained
   tensor (the pure step: copies of the parameters and the state, then the
   update), `rmsprop_update` (the in-place update that `train_arrays`
   runs, on the row's own copies; the row is left out for a checkout from
@@ -49,9 +49,12 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   rows call the layer functions that `forward` and `loss_and_grad` are
   built from (`_conv`, `_conv_grads`, `_bn_relu`, `_bn_backward`,
   `_dense`, `_dense_grads`), so this script cannot time a checkout from
-  before those functions. The batch-norm forward row works in place on
-  its conv buffer, as `forward` does; the backward row includes a copy
-  of its input, since it works in place.
+  before those functions, nor one from before the chunked conv, whose
+  `_conv` returned the patches and whose `_conv_grads` took them; the
+  `conv_dw` row includes building the patches again from the conv's
+  input. The batch-norm forward row works in place on its conv buffer, as
+  `forward` does; the backward row includes a copy of its input, since it
+  works in place.
 
 Rows are built and run group by group: the trainer, the split, the CNN
 path, then the tensor cache. A row's figure depends on the rows run
@@ -357,9 +360,9 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
         _, grads, _ = loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(1))
         trained = {k: grads[k] for k in TRAINED}
         _, state = rmsprop_step(params, trained, None, 0, tc)
-        cols, relu1, xhat = cache["cols"], cache["relu1"], cache["xhat"]
+        relu1, xhat = cache["relu1"], cache["xhat"]
         f, conv_w, conv_b = cfg.conv_filters, params["conv_w"], params["conv_b"]
-        conv = _conv(x, conv_w, conv_b)[1].reshape(64, f, 32, 32)
+        conv = _conv(x, conv_w, conv_b).reshape(64, f, 32, 32)
         dpooled = rng.normal(size=(64, f, 16, 16)).astype(np.float32)
         dbn = _pool_adjoint(dpooled, relu1)
         dconv = rng.normal(size=(64, f, 32 * 32)).astype(np.float32)
@@ -368,8 +371,8 @@ def trainer_kernels() -> dict[str, tuple[str, object]]:
         what = f"batch 64 x {ch} x 32 x 32, default CNN, float32"
         kernels.update({
             f"im2col_conv_{ch}ch": (what, lambda x=x, w=conv_w, b=conv_b: _conv(x, w, b)),
-            f"conv_dw_{ch}ch": (what, lambda d=dconv, c=cols, s=conv_w.shape:
-                                _conv_grads(d, c, s)),
+            f"conv_dw_{ch}ch": (what, lambda d=dconv, x=x, s=conv_w.shape:
+                                _conv_grads(d, x, s)),
             f"bn_relu_forward_{ch}ch": (what, lambda c=conv, p=params, e=cfg.bn_epsilon:
                                         _bn_relu(c, p["bn_gamma"], p["bn_beta"], e)),
             f"bn_backward_{ch}ch": (what, lambda d=dbn, xh=xhat, p=params, s=cache["inv_std"]:

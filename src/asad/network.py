@@ -28,6 +28,7 @@ TENSOR_ORDER = (
 )
 TRAINED = tuple(n for n in TENSOR_ORDER if not n.startswith("bn_running"))
 RMSPROP_BLOCK = 65536  # elements per pass of rmsprop_update: a block of each operand stays in L2
+CONV_CHUNK_WINDOWS = 16  # float32 windows per chunk of conv patches; 8 in float64
 
 
 @dataclass
@@ -139,12 +140,20 @@ def validate_params(cfg: CnnConfig, params: dict) -> None:
         raise ValueError("bn_running_var must stay positive")
 
 
-def _im2col(x: np.ndarray) -> np.ndarray:
-    """(B, C, H, W) -> (B, C*9, H*W) patches of the 1-padded input."""
+def _patches(x: np.ndarray):
+    """(lo, hi, the (hi - lo, C*9, H*W) patches of windows lo:hi) of the
+    1-padded (B, C, H, W) x, chunk by chunk. The chunk's pad and patch
+    buffers are reused, so each patch array is overwritten by the next."""
     b, c, h, w = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, C, H, W, 3, 3)
-    return np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(b, c * 9, h * w)
+    n = min(b, CONV_CHUNK_WINDOWS * 4 // x.itemsize)
+    pad = np.zeros((n, c, h + 2, w + 2), x.dtype)
+    cols = np.empty((n, c * 9, h * w), x.dtype)
+    for lo in range(0, b, n):
+        k = min(n, b - lo)
+        pad[:k, :, 1:-1, 1:-1] = x[lo : lo + k]
+        win = sliding_window_view(pad[:k], (3, 3), axis=(2, 3))  # (k, C, H, W, 3, 3)
+        cols[:k].reshape(k, c, 3, 3, h, w)[...] = win.transpose(0, 1, 4, 5, 2, 3)
+        yield lo, lo + k, cols[:k]
 
 
 def _draw_masks(
@@ -194,13 +203,16 @@ def _pool_adjoint(dpooled: np.ndarray, relu: np.ndarray,
     return out
 
 
-def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _conv(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Same-padded 3x3 conv of (B, C, H, W) by (F, C, 3, 3) weights: the
-    (B, C*9, H*W) patches and the (B, F, H*W) output."""
-    cols = _im2col(x)
-    conv = np.matmul(w.reshape(len(w), -1), cols)
+    (B, F, H*W) output, one chunk of `_patches` at a time. numpy multiplies
+    a stack one window at a time, so the chunks give the whole batch's bits."""
+    wmat = w.reshape(len(w), -1)
+    conv = np.empty((len(x), len(w), x.shape[2] * x.shape[3]), np.result_type(w, x))
+    for lo, hi, cols in _patches(x):
+        np.matmul(wmat, cols, out=conv[lo:hi])
     conv += b[None, :, None]
-    return cols, conv
+    return conv
 
 
 def _bn_relu(xhat: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float,
@@ -245,12 +257,19 @@ def _bn_backward(dbn: np.ndarray, xhat: np.ndarray, gamma: np.ndarray, inv_std: 
     return dconv, dgamma, dbeta
 
 
-def _conv_grads(dconv: np.ndarray, cols: np.ndarray, shape: tuple[int, ...]):
+def _conv_grads(dconv: np.ndarray, x: np.ndarray, shape: tuple[int, ...]):
     """The conv's weight gradient, of the weights' `shape`, and bias gradient
-    from the (B, F, H, W) or (B, F, H*W) output gradient and `_conv`'s patches."""
+    from the (B, F, H, W) or (B, F, H*W) output gradient and the conv's input
+    x, whose patches are built again chunk by chunk. Each window's products
+    are added in window order into a zeroed sum: the bits of one einsum over
+    the batch, which adds each window's dot into its zeroed output."""
     b, f = dconv.shape[:2]
     dconv_mat = dconv.reshape(b, f, -1)
-    return np.einsum("bfn,bcn->fc", dconv_mat, cols).reshape(shape), dconv_mat.sum(axis=(0, 2))
+    dw = np.zeros((f, math.prod(shape[1:])), np.result_type(dconv, x))
+    for lo, hi, cols in _patches(x):
+        for window in np.einsum("bfn,bcn->bfc", dconv_mat[lo:hi], cols):
+            dw += window
+    return dw.reshape(shape), dconv_mat.sum(axis=(0, 2))
 
 
 def _dense(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -297,9 +316,7 @@ def forward(
     h = w = cfg.in_size
     train = mode == "train"
 
-    cols, conv = _conv(x, p["conv_w"], p["conv_b"])
-    if not train:
-        cols = None  # the patches, an eval pass's largest buffer, have no later use
+    conv = _conv(x, p["conv_w"], p["conv_b"])
     xhat = conv.reshape(b, f, h, w)
     stats = None if train else (p["bn_running_mean"], p["bn_running_var"])
     relu1, mu, var, inv_std = _bn_relu(xhat, p["bn_gamma"], p["bn_beta"], cfg.bn_epsilon, stats)
@@ -333,7 +350,7 @@ def forward(
     if not train:
         return probs, None
     cache = {
-        "cols": cols, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat,
+        "x": x, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat,
         "relu1": relu1, "pooled": pooled, "masks": masks, "flat": flat, "fc1": fc1,
         "drop2": drop2, "fc2": fc2, "relu3": relu3, "probs": probs, "params": p,
     }
@@ -354,11 +371,12 @@ def loss_and_grad(
     Backpropagates through the batch-norm batch statistics and reuses the
     dropout masks drawn in the forward pass. The loss comes from the
     float64 softmax; the gradients are in the parameters' dtype. Each
-    activation leaves the cache at its last use, and the pool adjoint goes
-    into the ReLU output's buffer, so at most the patches and three
-    conv-sized buffers are alive; fc1's weight gradient is formed after
-    them. Raises FloatingPointError when the loss or the gradient norm is
-    not finite.
+    activation leaves the cache at its last use, the pool adjoint goes into
+    the ReLU output's buffer, and the conv's patches exist one chunk at a
+    time (the weight gradient builds them again from the batch), so at most
+    one chunk of patches and three conv-sized buffers are alive; fc1's
+    weight gradient is formed after them. Raises FloatingPointError when
+    the loss or the gradient norm is not finite.
     """
     y = np.asarray(labels)
     if y.ndim != 1 or np.any((y != 0) & (y != 1)):
@@ -396,7 +414,7 @@ def loss_and_grad(
     dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, cache.pop("xhat"),
                                                               p["bn_gamma"], cache["inv_std"])
     del dbn
-    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache.pop("cols"), p["conv_w"].shape)
+    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache.pop("x"), p["conv_w"].shape)
     del dconv
     # fc1's weight gradient (the products of `_dense_grads`) once the conv buffers are gone
     flat = cache.pop("flat")
@@ -491,8 +509,9 @@ class TrainingDiverged(RuntimeError):
 
 
 def predict_proba(cfg: CnnConfig, params: dict, x: np.ndarray, chunk: int = 64) -> np.ndarray:
-    """Eval-mode probabilities, `chunk` windows per forward pass: the im2col
-    of a chunk is its largest temporary, so memory does not grow with len(x)."""
+    """Eval-mode probabilities, `chunk` windows per forward pass, so memory
+    does not grow with len(x): a pass holds its conv output and ReLU buffer,
+    and `_conv` builds the patches a few windows at a time."""
     outs = [forward(cfg, params, x[i : i + chunk], mode="eval")[0] for i in range(0, len(x), chunk)]
     return np.concatenate(outs, axis=0)
 
@@ -583,8 +602,9 @@ def evaluate_features(
         raise ValueError("empty window set")
     validate_params(checkpoint.config, checkpoint.params)
     params = {k: np.asarray(v, dtype=np.float64) for k, v in checkpoint.params.items()}
-    # half of predict_proba's 64 windows per pass: the float64 im2col of a
-    # chunk is then no larger than that of a float32 training batch
+    # half of predict_proba's 64 windows per pass: the float64 conv output and
+    # ReLU buffer of a pass are then no larger than a float32 training batch's
+    # (`_conv` builds its patches in chunks of its own, half as many windows in float64)
     probs = predict_proba(checkpoint.config, params, x, chunk=32)
     hits = probs.argmax(axis=1) == np.asarray(y)
     per_subject: dict[str, list[bool]] = {}

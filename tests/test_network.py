@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from asad.network import (
     RMSPROP_BLOCK,
@@ -21,6 +22,7 @@ from asad.network import (
     _bn_relu,
     _conv,
     _conv_grads,
+    _dense,
     _dense_grads,
     _draw_masks,
     _pool,
@@ -402,15 +404,64 @@ def test_rmsprop_keeps_dtype_and_inputs(dtype):
 
 
 # ---------------------------------------------------------------------------
-# the bounded training step keeps the bytes of the whole-buffer one
+# the bounded training step and the chunked conv keep the bytes of the
+# whole-batch, whole-cache step
 # ---------------------------------------------------------------------------
 
+def _whole_batch_conv(x, w, b):
+    """The conv as one im2col of the whole batch and one matmul: the
+    (B, C*9, H*W) patches and the (B, F, H*W) output."""
+    n, c, h, wd = x.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+    win = sliding_window_view(xp, (3, 3), axis=(2, 3))  # (B, C, H, W, 3, 3)
+    cols = np.ascontiguousarray(win.transpose(0, 1, 4, 5, 2, 3)).reshape(n, c * 9, h * wd)
+    conv = np.matmul(w.reshape(len(w), -1), cols)
+    conv += b[None, :, None]
+    return cols, conv
+
+
+def _forward_whole_batch(cfg, params, batch, mode, rng=None, masks=None):
+    """forward with `_whole_batch_conv`: the probabilities and every
+    activation, the patches included."""
+    dt = np.result_type(*params.values())
+    x = np.asarray(batch, dtype=dt)
+    p = {k: np.asarray(v, dtype=dt) for k, v in params.items()}
+    b, size = len(x), cfg.in_size
+    train = mode == "train"
+    cols, conv = _whole_batch_conv(x, p["conv_w"], p["conv_b"])
+    xhat = conv.reshape(b, cfg.conv_filters, size, size)
+    stats = None if train else (p["bn_running_mean"], p["bn_running_var"])
+    relu1, mu, var, inv_std = _bn_relu(xhat, p["bn_gamma"], p["bn_beta"], cfg.bn_epsilon, stats)
+    pooled = _pool(relu1)
+    if train:
+        masks = (_draw_masks(cfg, b, rng, dt) if masks is None
+                 else {k: np.asarray(v, dtype=dt) for k, v in masks.items()})
+        pooled = pooled * masks["drop_pool"]
+    flat = pooled.reshape(b, -1)
+    fc1 = _dense(flat, p["fc1_w"], p["fc1_b"])
+    drop2 = np.maximum(fc1, 0.0)
+    if train:
+        drop2 = drop2 * masks["drop_fc1"]
+    fc2 = _dense(drop2, p["fc2_w"], p["fc2_b"])
+    relu3 = np.maximum(fc2, 0.0)
+    logits = np.asarray(_dense(relu3, p["out_w"], p["out_b"]), dtype=np.float64)
+    expz = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs = expz / expz.sum(axis=1, keepdims=True)
+    cache = {
+        "cols": cols, "mu": mu, "var": var, "inv_std": inv_std, "xhat": xhat, "relu1": relu1,
+        "masks": masks, "flat": flat, "fc1": fc1, "drop2": drop2, "fc2": fc2, "relu3": relu3,
+        "params": p,
+    }
+    return probs, cache
+
+
 def _loss_and_grad_whole_cache(cfg, params, batch, labels, rng=None, masks=None):
-    """loss_and_grad as it was before the step bounded its working set: every
-    activation cached to the end, fc1's gradients formed before the conv
-    backward, dpooled and the pool adjoint in new buffers."""
+    """loss_and_grad as it was before the step bounded its working set: the
+    whole batch's patches, every activation cached to the end, fc1's
+    gradients formed before the conv backward, dpooled and the pool adjoint
+    in new buffers, and the weight gradient as one einsum over the batch."""
     y = np.asarray(labels)
-    probs, cache = forward(cfg, params, batch, mode="train", rng=rng, masks=masks)
+    probs, cache = _forward_whole_batch(cfg, params, batch, "train", rng=rng, masks=masks)
     b = len(y)
     p = cache["params"]
     xhat = cache["xhat"]
@@ -432,7 +483,9 @@ def _loss_and_grad_whole_cache(cfg, params, batch, labels, rng=None, masks=None)
     dbn = _pool_adjoint(dpooled, cache["relu1"])
     dconv, grads["bn_gamma"], grads["bn_beta"] = _bn_backward(dbn, xhat, p["bn_gamma"],
                                                               cache["inv_std"])
-    grads["conv_w"], grads["conv_b"] = _conv_grads(dconv, cache["cols"], p["conv_w"].shape)
+    dconv = dconv.reshape(b, cfg.conv_filters, -1)
+    grads["conv_w"] = np.einsum("bfn,bcn->fc", dconv, cache["cols"]).reshape(p["conv_w"].shape)
+    grads["conv_b"] = dconv.sum(axis=(0, 2))
     aux = {"correct": correct, "batch_mean": cache["mu"], "batch_var": cache["var"]}
     return loss, grads, aux
 
@@ -445,6 +498,8 @@ def _loss_and_grad_whole_cache(cfg, params, batch, labels, rng=None, masks=None)
     seed=st.integers(0, 2**16),
 )
 def test_loss_and_grad_keeps_the_whole_cache_bytes(batch, in_channels, dtype, seed):
+    """The step and the eval forward give the bits of the whole-batch conv
+    and the whole cache, on batches across the conv's chunk edges."""
     cfg = CnnConfig(in_channels=in_channels)
     rng = np.random.default_rng(seed)
     params = {k: v.astype(dtype) for k, v in init_params(cfg, rng).items()}
@@ -459,6 +514,8 @@ def test_loss_and_grad_keeps_the_whole_cache_bytes(batch, in_channels, dtype, se
     assert aux["correct"] == want[2]["correct"]
     for key in ("batch_mean", "batch_var"):
         assert aux[key].tobytes() == want[2][key].tobytes()
+    probs = forward(cfg, params, x, mode="eval")[0]
+    assert probs.tobytes() == _forward_whole_batch(cfg, params, x, "eval")[0].tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,6 +621,52 @@ def test_loss_and_grad_memory_is_bounded_by_its_conv_buffers(in_channels):
     assert peak < cols_bytes + 3 * conv_bytes + 2 * 2**20
 
 
+def _traced_peak(call):
+    """The tracemalloc peak of call(), after one untraced warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_loss_and_grad_memory_holds_one_chunk_of_patches():
+    """At batch 64 and 5 channels, one step's traced peak stays under one
+    16-window chunk of float32 patches, three conv outputs and 2 MiB: the
+    forward and the weight gradient each build the patches chunk by chunk,
+    never the whole batch's 11.25 MiB."""
+    cfg = CnnConfig(in_channels=5)
+    rng = np.random.default_rng(5)
+    params = init_params(cfg, rng)
+    x = rng.normal(size=(64, 5, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 2, size=64)
+    peak = _traced_peak(lambda: loss_and_grad(cfg, params, x, y, rng=np.random.default_rng(0)))
+    chunk_bytes = 16 * 5 * 9 * 32 * 32 * 4
+    conv_bytes = 64 * cfg.conv_filters * 32 * 32 * 4
+    assert peak < chunk_bytes + 3 * conv_bytes + 2 * 2**20
+
+
+def test_evaluate_features_memory_holds_one_float64_chunk_of_patches():
+    """On 64 five-channel windows, evaluate_features' traced peak stays under
+    its float64 parameters, one 8-window chunk of float64 patches, the conv
+    output and ReLU buffer of a 32-window pass, the float32 checkpoint's
+    size and 2 MiB."""
+    cfg = CnnConfig(in_channels=5)
+    rng = np.random.default_rng(6)
+    params = init_params(cfg, rng)
+    ckpt = Checkpoint(cfg, params, TrainConfig(), 0, 0.5)
+    x = rng.normal(size=(64, 5, 32, 32)).astype(np.float32)
+    y = rng.integers(0, 2, size=64)
+    peak = _traced_peak(lambda: evaluate_features(ckpt, x, y, ["s"] * 64))
+    checkpoint_bytes = sum(v.nbytes for v in params.values())
+    params64_bytes = 2 * checkpoint_bytes
+    chunk_bytes = 8 * 5 * 9 * 32 * 32 * 8
+    conv_bytes = 32 * cfg.conv_filters * 32 * 32 * 8
+    assert peak < params64_bytes + chunk_bytes + 2 * conv_bytes + checkpoint_bytes + 2 * 2**20
+
+
 def _shifted(x):
     """(ki, kj, the input seen by tap (ki, kj) of a same-padded 3x3 conv)."""
     h, w = x.shape[2:]
@@ -635,10 +738,10 @@ def test_conv_and_its_gradients_match_the_loop_convolution(b, c, f, hw, seed):
     x = rng.normal(size=(b, c, hw, hw))
     conv_w, conv_b = rng.normal(size=(f, c, 3, 3)), rng.normal(size=f)
     dconv = rng.normal(size=(b, f, hw, hw))
-    cols, conv = _conv(x, conv_w, conv_b)
+    conv = _conv(x, conv_w, conv_b)
     np.testing.assert_allclose(conv.reshape(b, f, hw, hw), _loop_conv(x, conv_w, conv_b),
                                rtol=1e-12, atol=1e-12)
-    for got, want in zip(_conv_grads(dconv, cols, conv_w.shape), _loop_conv_grads(x, dconv)):
+    for got, want in zip(_conv_grads(dconv, x, conv_w.shape), _loop_conv_grads(x, dconv)):
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 

@@ -4,6 +4,7 @@ scripts import from asad at start-up and call its private layer functions,
 so a rename breaks them silently."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -45,14 +46,18 @@ def test_script_starts(script):
     assert done.stdout.startswith("usage:")
 
 
+def _script(name):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _bench_kernels(monkeypatch):
     # the script sets a default BLAS thread count at import; keep it to the test
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", os.environ.get("OPENBLAS_NUM_THREADS", "1"))
-    path = ROOT / "scripts" / "bench_kernels.py"
-    spec = importlib.util.spec_from_file_location("bench_kernels", path)
-    bench = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(bench)
-    return bench
+    return _script("bench_kernels")
 
 
 def test_every_trainer_kernel_row_runs(monkeypatch):
@@ -79,3 +84,36 @@ def test_bench_kernels_only_builds_the_groups_it_needs(monkeypatch, tmp_path):
     monkeypatch.setattr(bench, "cache_kernels", lambda root: {})
     with pytest.raises(SystemExit, match="unknown kernel rows: no_such_row"):
         bench.kernel_rows(tmp_path, ["pool_1ch", "no_such_row"])
+
+
+def test_bench_pairs_kernels_alternate_the_sides_by_round(monkeypatch, tmp_path):
+    """`--kernels` runs every row once per side and round, the parent first
+    on even rounds, and summarises each row's per-process figures."""
+    pairs = _script("bench_pairs")
+    calls = []
+
+    def fake_row(checkout, row):
+        calls.append((checkout.name, row))
+        ms = (2.0 if checkout.name == "parent" else 1.0) + len(calls) / 100
+        return {"seconds": ms / 1e3, "peak_mib": 3.0 if checkout.name == "parent" else 1.0}
+
+    monkeypatch.setattr(pairs, "kernel_row", fake_row)
+    monkeypatch.setattr(pairs, "KERNEL_ROUNDS", 3)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    out = tmp_path / "bench.json"
+    assert pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                       "--kernels", "a,b", "--out", str(out), "--label", "k"]) == 0
+    one_round = [("parent", "a"), ("change", "a"), ("parent", "b"), ("change", "b")]
+    swapped = [(side, row) for row in "ab" for side in ("change", "parent")]
+    assert calls == one_round + swapped + one_round
+    rows = json.loads(out.read_text())["k"]["kernels"]["rows"]
+    assert list(rows) == ["a", "b"]
+    assert rows["a"]["pairs"] == 3 and rows["a"]["change_lower_pairs"] == 3
+    assert rows["a"]["peak_mib"] == {"parent": 3.0, "change": 1.0}
+    assert rows["b"]["ms_runs"]["parent"] == pytest.approx([2.03, 2.08, 2.11])
+
+
+def test_bench_pairs_kernel_row_runs_a_fresh_process():
+    row = _script("bench_pairs").kernel_row(ROOT, "pool_1ch")
+    assert row["seconds"] > 0 and row["peak_mib"] > 0
