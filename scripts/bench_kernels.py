@@ -15,6 +15,13 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   50 % overlap inside 8 trials of 30 s, every fifth window of a trial held
   out. They time `accumulate_covariances`, the seven `_solve` calls of the
   default lambda grid and one whole-recording `reconstruct`.
+- The lambda search (`kernels`): `select_lambda_1s` and `select_lambda_10s`
+  run `select_lambda` on one subject of a `linear-sweep` workspace (32
+  channels, 240 s, the attended envelope mixed in at gain 1 by the synth
+  stage, then the baseline's preprocessing), with the split and training
+  weights the baseline stage builds at 1 and 10 s windows. Unlike the
+  unmixed ridge rows above, these fits can reach validation accuracy 1.0,
+  where the search stops.
 - The CNN path (`kernels`): `preprocess_recording` of one 240 s subject
   (64 + 2 reference channels at 128 Hz, float32 as loaded from disk),
   `_zero_phase` and `resample_series` on that subject's 64 float64
@@ -57,10 +64,11 @@ median of `--repeats` calls (`time.perf_counter`), after one warm-up call;
   works in place.
 
 Rows are built and run group by group: the trainer, the split, the CNN
-path, then the tensor cache. A row's figure depends on the rows run
-before it in the same process, so `--only ROW[,ROW]` runs just the named
-rows, in that order, after building only the groups up to the last one
-that holds a named row, and skips the ridge rows. One row per process:
+path, the lambda search, then the tensor cache. A row's figure depends on
+the rows run before it in the same process, so `--only ROW[,ROW]` runs
+just the named rows, in that order, after building only the groups up to
+the last one that holds a named row, and skips the ridge rows. One row
+per process:
 
     PYTHONPATH=src python3 scripts/bench_kernels.py --only rmsprop_update_5ch
 
@@ -139,8 +147,10 @@ try:
     from asad.network import rmsprop_update  # noqa: E402
 except ImportError:  # a checkout from before the in-place update
     rmsprop_update = None
+from asad.data import load_recording  # noqa: E402
 from asad.pipeline import (  # noqa: E402
     FeatureSection,
+    _n_lags,
     _synth_subject,
     build_split,
     config_from_dict,
@@ -346,6 +356,35 @@ def cache_kernels(root: Path) -> dict[str, tuple[str, object]]:
     }
 
 
+def search_kernels(root: Path) -> dict[str, tuple[str, object]]:
+    """`select_lambda` of one subject of a `linear-sweep` workspace under
+    `root`, at 1 and 10 s windows, on the fit the baseline stage makes."""
+    cfg = config_from_dict({
+        "models": ["linear"],
+        "montage": "builtin:biosemi32",
+        "synth": {"n_subjects": 1, "n_channels": 32, "duration_s": 240.0,
+                  "envelope_mix_gain": 1.0, "seed": 1},
+        "window_sizes_s": [1.0, 10.0],
+    })
+    stage_synth(cfg, root)
+    stage_preprocess(cfg, root)
+    rec = load_recording(root / "preprocessed_baseline" / "S00")
+    env_l, env_r = (baseline.load_envelope(root / "envelopes_rs" / f"S00.{side}").samples
+                    for side in ("left", "right"))
+    n_lags, kernels = _n_lags(cfg), {}
+    for ws in cfg.window_sizes_s:
+        split = build_split(cfg, [rec], ws)
+        m, y = baseline.train_weights(split.train, env_l, env_r, n_lags)
+        kernels[f"select_lambda_{ws:g}s"] = (
+            f"{rec.n_channels} x {rec.n_samples:,} float32 at 70 Hz, {n_lags} lags, "
+            f"envelope_mix_gain 1, {len(split.train):,} train and "
+            f"{len(split.validation):,} validation {ws:g} s windows, default lambda grid",
+            lambda tr=(rec.data, m, y), val=(env_l, env_r, split.validation), n=n_lags:
+            baseline.select_lambda(tr, val, n, baseline.LAMBDA_GRID),
+        )
+    return kernels
+
+
 def trainer_kernels() -> dict[str, tuple[str, object]]:
     """The training step's layers at batch 64, float32, 1 and 5 input channels."""
     kernels = {}
@@ -407,7 +446,8 @@ def kernel_rows(root: Path, only: list[str] | None) -> dict[str, tuple[str, obje
     """Every row, group by group, or the rows named in `only`, in that
     order, with no group built after the last one that holds one of them."""
     rows: dict[str, tuple[str, object]] = {}
-    for build in (trainer_kernels, split_kernels, cnn_kernels, lambda: cache_kernels(root)):
+    for build in (trainer_kernels, split_kernels, cnn_kernels,
+                  lambda: search_kernels(root / "search"), lambda: cache_kernels(root)):
         if only is not None and all(name in rows for name in only):
             break
         rows.update(build())

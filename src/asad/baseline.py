@@ -9,9 +9,12 @@ autocovariance and r the EEG-envelope cross-covariance. Overlapping
 training windows share lagged rows, so R and r sum each distinct row once,
 weighted by the number of windows that hold it; R is assembled from its
 channel x channel lag blocks, and each lambda > 0 is solved by Cholesky.
-Attention is decided per decision window by Pearson-correlating the
-reconstruction against the two candidate envelopes; the reconstruction is
-computed once per recording and sliced into windows.
+The lambda search solves the grid in increasing order and stops at the
+first lambda whose validation accuracy is 1.0, since no later one can be
+chosen over it. Attention is decided per decision window by
+Pearson-correlating the reconstruction against the two candidate
+envelopes; the reconstruction is computed once per lambda tried and
+sliced into windows.
 """
 
 from __future__ import annotations
@@ -190,7 +193,8 @@ def _solve(r_auto: np.ndarray, r_cross: np.ndarray, lam: float) -> np.ndarray:
         if lam == 0:
             return np.linalg.solve(r_auto, r_cross)
         # Fortran order, which LAPACK takes as it is: cho_factor would copy
-        # a C-ordered matrix into Fortran order first
+        # a C-ordered matrix into Fortran order first. A Fortran-ordered R
+        # is copied straight, a C-ordered one transposed, which is slower
         a = np.array(r_auto, order="F")
         diag = np.arange(len(a))
         a[diag, diag] += lam * float(np.mean(np.diag(r_auto)))
@@ -315,9 +319,11 @@ def select_lambda(
     n_lags: int,
     grid: tuple[float, ...] = LAMBDA_GRID,
 ) -> tuple[LinearDecoder, float]:
-    """Fit once per grid value, keep the decoder with the best validation
-    decision accuracy (ties favor the smaller lambda); a lambda with a
-    singular system is skipped.
+    """Fit the grid values in increasing order and keep the decoder with
+    the best validation decision accuracy (ties favor the smaller lambda);
+    a lambda with a singular system is skipped. The search stops at the
+    first lambda that reaches accuracy 1.0: no later one can score higher,
+    so the choice is that of the whole grid.
 
     `train` is (eeg, m, y) as for `accumulate_covariances`; `val` is
     (env_left, env_right, windows) for validation windows on the same
@@ -327,6 +333,8 @@ def select_lambda(
     eeg, m, y = train
     env_left, env_right, windows = val
     r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+    # Fortran order once per search, so no solve transposes R again
+    r_auto = np.asfortranarray(r_auto)
     rows = windows.rows(n_lags)
     best = None
     for lam in sorted(grid):
@@ -340,6 +348,8 @@ def select_lambda(
         acc = int(np.sum(d.label == windows.labels)) / len(windows.labels)
         if best is None or acc > best[0]:
             best = (acc, dec)
+            if acc == 1.0:
+                break
     if best is None:
         raise ValueError("no lambda on the grid produced a solvable system")
     return best[1], best[0]

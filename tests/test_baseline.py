@@ -6,7 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from asad import baseline
@@ -16,7 +16,9 @@ from asad.baseline import (
     Envelope,
     LinearDecoder,
     _lagged_design,
+    _solve,
     accumulate_covariances,
+    add_envelope_mixture,
     decide_attention,
     fit_decoder,
     fit_decoder_segments,
@@ -31,6 +33,7 @@ from asad.baseline import (
     train_weights,
 )
 from asad.data import LEFT, RIGHT, WindowSet
+from conftest import make_recording
 
 
 def test_exact_regression_single_lag(rng):
@@ -426,6 +429,156 @@ def test_solve_factor_matches_c_order_cholesky_bits(n, seed, exact_symmetry):
         ref = cho_solve(cho_factor(a, overwrite_a=True, check_finite=False), r_cross,
                         check_finite=False)
         assert baseline._solve(r_auto, r_cross, lam).tobytes() == ref.tobytes()
+
+
+@settings(max_examples=30, deadline=None)
+@given(n_ch=st.integers(1, 6), n_lags=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_solve_gives_the_same_bits_from_either_layout_of_r(n_ch, n_lags, seed):
+    """`select_lambda` hands `_solve` a Fortran-ordered R; the weights are
+    those of the C-ordered R that `accumulate_covariances` returns, by LU at
+    lambda = 0 and by Cholesky above it, also when real row weights leave
+    R's two triangles unequal in the last bits."""
+    rng = np.random.default_rng(seed)
+    t = 300
+    eeg = rng.normal(size=(n_ch, t))
+    m = rng.uniform(0.1, 3.0, size=t)
+    m[t - n_lags + 1 :] = 0.0
+    r_auto, r_cross = accumulate_covariances(eeg, m, rng.normal(size=t), n_lags)
+    r_fortran = np.asfortranarray(r_auto)
+    assert r_fortran.flags.f_contiguous
+    for lam in (0.0,) + LAMBDA_GRID:
+        w = baseline._solve(r_auto, r_cross, lam)
+        assert baseline._solve(r_fortran, r_cross, lam).tobytes() == w.tobytes()
+
+
+def test_real_row_weights_leave_r_unequal_to_its_transpose():
+    # the case the layout test above must cover: LAPACK reads one triangle
+    rng = np.random.default_rng(5)
+    eeg = rng.normal(size=(4, 300))
+    m = rng.uniform(0.1, 3.0, size=300)
+    m[-5:] = 0.0
+    r_auto, _ = accumulate_covariances(eeg, m, rng.normal(size=300), 6)
+    assert not np.array_equal(r_auto, r_auto.T)
+
+
+# ---------------------------------------------------------------------------
+# The lambda search stops at the first lambda with validation accuracy 1.0
+# ---------------------------------------------------------------------------
+
+def _full_grid_search(train, val, n_lags, grid):
+    """The reference search: every grid value is solved, reconstructed and
+    scored, the best validation accuracy is kept (ties keep the smaller
+    lambda) and a singular system is skipped. Returns the decoder, its
+    accuracy and each lambda's accuracy in increasing lambda order (None
+    where the system is singular)."""
+    eeg, m, y = train
+    env_left, env_right, windows = val
+    r_auto, r_cross = accumulate_covariances(eeg, m, y, n_lags)
+    rows = windows.rows(n_lags)
+    best, accs = None, []
+    for lam in sorted(grid):
+        try:
+            w = _solve(r_auto, r_cross, lam)
+        except ValueError:
+            accs.append(None)
+            continue
+        dec = baseline._decoder(w, eeg.shape[0], n_lags, lam)
+        s_hat = reconstruct(dec, eeg)
+        d = decide_attention(s_hat[rows], env_left[rows], env_right[rows])
+        acc = int(np.sum(d.label == windows.labels)) / len(windows.labels)
+        accs.append(acc)
+        if best is None or acc > best[0]:
+            best = (acc, dec)
+    if best is None:
+        raise ValueError("no lambda on the grid produced a solvable system")
+    return best[1], best[0], accs
+
+
+def _search_problem(seed, gain, train_every, dead_channel):
+    """A 16-channel, 8-lag search on 40 s of 70 Hz EEG in four 10 s trials,
+    the attended envelope mixed in at `gain` as the pipeline mixes it. Of
+    the 1 s windows at 50 % overlap, every `train_every`-th trains and the
+    rest validate: with two training windows a small lambda overfits.
+    `dead_channel` zeroes one channel, so that R is singular at lambda = 0."""
+    fs, n_lags, n = 70.0, 8, 2800
+    rec = make_recording(n_channels=16, n_samples=n, sample_rate=fs, n_trials=4, seed=seed)
+    env_l = synth_envelope(n, fs, "l", np.random.default_rng(seed + 1)).samples
+    env_r = synth_envelope(n, fs, "r", np.random.default_rng(seed + 2)).samples
+    add_envelope_mixture(rec, Envelope(env_l, "l", fs), Envelope(env_r, "r", fs),
+                         n_lags - 1, gain, seed)
+    if dead_channel:
+        rec.data[-1] = 0.0
+    trials = [(tr.start, tr.end, tr.label) for tr in rec.trials]
+    keep = [True] + [False] * (train_every - 1)
+    train = _trial_windows(trials, 70, 0.5, keep)
+    val = _trial_windows(trials, 70, 0.5, [not k for k in keep])
+    m, y = train_weights(train, env_l, env_r, n_lags)
+    return (rec.data, m, y), (env_l, env_r, val), n_lags
+
+
+# problems whose full-grid search first reaches accuracy 1.0 at the grid's
+# first lambda, at a middle one (1.0, after which it falls) or never
+SEARCH_PROBLEMS = {
+    "first": dict(seed=0, gain=3.0, train_every=2, dead_channel=False),
+    "middle": dict(seed=2, gain=1.0, train_every=40, dead_channel=False),
+    "never": dict(seed=2, gain=0.0, train_every=2, dead_channel=True),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SEARCH_PROBLEMS))
+def test_search_problems_first_reach_accuracy_one_where_named(kind):
+    _, _, accs = _full_grid_search(*_search_problem(**SEARCH_PROBLEMS[kind]), LAMBDA_GRID)
+    first = next((i for i, a in enumerate(accs) if a == 1.0), None)
+    assert {"first": first == 0, "middle": first == 3, "never": first is None}[kind], accs
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    gain=st.sampled_from([0.0, 1.0, 3.0]),
+    train_every=st.sampled_from([2, 40]),
+    dead_channel=st.booleans(),
+    grid=st.lists(st.sampled_from((0.0,) + LAMBDA_GRID), min_size=1, max_size=8, unique=True),
+)
+@example(**SEARCH_PROBLEMS["first"], grid=list(LAMBDA_GRID))
+@example(**SEARCH_PROBLEMS["middle"], grid=list(LAMBDA_GRID[::-1]))
+@example(**SEARCH_PROBLEMS["never"], grid=[1.0, 0.0, 1e-3, 1e3])
+def test_select_lambda_equals_the_full_grid_search(seed, gain, train_every, dead_channel, grid):
+    """Same lambda, same accuracy and the same weight bits as the search
+    over the whole grid, with one `_solve` call per lambda up to the first
+    that scores 1.0 (a singular lambda = 0 counts as a call), on sorted and
+    unsorted grids."""
+    train, val, n_lags = _search_problem(seed, gain, train_every, dead_channel)
+    calls = []
+
+    def counted(r_auto, r_cross, lam):
+        calls.append(lam)
+        return _solve(r_auto, r_cross, lam)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(baseline, "_solve", counted)
+        try:
+            ref_dec, ref_acc, accs = _full_grid_search(train, val, n_lags, grid)
+        except ValueError:
+            with pytest.raises(ValueError, match="no lambda"):
+                select_lambda(train, val, n_lags, tuple(grid))
+            return
+        assert calls == []  # the reference calls the unpatched solver
+        dec, acc = select_lambda(train, val, n_lags, tuple(grid))
+    stop = next((i + 1 for i, a in enumerate(accs) if a == 1.0), len(grid))
+    assert calls == sorted(grid)[:stop]
+    assert dec.ridge_lambda == ref_dec.ridge_lambda and acc == ref_acc
+    assert dec.weights.tobytes() == ref_dec.weights.tobytes()
+
+
+def test_an_equal_best_accuracy_below_one_keeps_the_smaller_lambda():
+    train, val, n_lags = _search_problem(**SEARCH_PROBLEMS["never"])
+    grid = (0.0,) + LAMBDA_GRID
+    _, best, accs = _full_grid_search(train, val, n_lags, grid)
+    tied = [lam for lam, a in zip(sorted(grid), accs) if a == best]
+    assert best < 1.0 and len(tied) >= 2, accs
+    dec, acc = select_lambda(train, val, n_lags, grid[::-1])
+    assert dec.ridge_lambda == min(tied) and acc == best
 
 
 # ---------------------------------------------------------------------------

@@ -70,20 +70,32 @@ def test_every_trainer_kernel_row_runs(monkeypatch):
 
 
 def test_bench_kernels_only_builds_the_groups_it_needs(monkeypatch, tmp_path):
-    """`--only` rows come in the order named, and the tensor cache group,
-    which runs three stages to build, is not built for trainer rows."""
+    """`--only` rows come in the order named, and the lambda search and
+    tensor cache groups, which run pipeline stages to build, are not built
+    for trainer rows."""
     bench = _bench_kernels(monkeypatch)
 
-    def no_cache(root):
-        raise AssertionError("the tensor cache group was built")
+    def not_built(root):
+        raise AssertionError(f"the group under {root} was built")
 
-    monkeypatch.setattr(bench, "cache_kernels", no_cache)
+    monkeypatch.setattr(bench, "search_kernels", not_built)
+    monkeypatch.setattr(bench, "cache_kernels", not_built)
     rows = bench.kernel_rows(tmp_path, ["rmsprop_update_5ch", "pool_1ch"])
     assert list(rows) == ["rmsprop_update_5ch", "pool_1ch"]
     monkeypatch.setattr(bench, "cnn_kernels", dict)
+    monkeypatch.setattr(bench, "search_kernels", lambda root: {})
     monkeypatch.setattr(bench, "cache_kernels", lambda root: {})
     with pytest.raises(SystemExit, match="unknown kernel rows: no_such_row"):
         bench.kernel_rows(tmp_path, ["pool_1ch", "no_such_row"])
+
+
+def test_lambda_search_rows_stop_at_accuracy_one_at_10_s(monkeypatch, tmp_path):
+    """The `select_lambda` rows run on a mixed `linear-sweep` subject, and
+    its 10 s fit reaches validation accuracy 1.0, where the search stops."""
+    rows = _bench_kernels(monkeypatch).search_kernels(tmp_path)
+    assert list(rows) == ["select_lambda_1s", "select_lambda_10s"]
+    results = {name: fn() for name, (_what, fn) in rows.items()}
+    assert results["select_lambda_10s"][1] == 1.0
 
 
 def test_bench_pairs_kernels_alternate_the_sides_by_round(monkeypatch, tmp_path):
